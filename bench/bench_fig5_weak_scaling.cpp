@@ -1,14 +1,10 @@
 // Fig. 5 reproduction: weak scaling of one LABS QAOA layer over K ranks
-// with n = n0 + log2(K) (constant per-rank state size), comparing the two
-// alltoall transports.
+// with n = n0 + log2(K) (constant per-rank state size).
 //
-// Series mapping (paper -> ours):
-//   QOKit (MPI_Alltoall)      -> Staged   (central buffer, two full copies)
-//   QOKit (cuStateVec p2p)    -> Pairwise (XOR-scheduled direct block swaps)
-//
-// The paper's GPUs are replaced by virtual ranks (threads); see DESIGN.md.
-// Expected shape: time grows with K (communication-dominated) and the
-// pairwise transport stays below the staged one.
+// The paper's GPUs are replaced by virtual ranks (threads) exchanging
+// through the XOR-scheduled pairwise alltoall; see DESIGN.md. Expected
+// shape: time grows with K (communication-dominated), steeply once K
+// exceeds the core count.
 #include <benchmark/benchmark.h>
 
 #include "api/qokit.hpp"
@@ -25,40 +21,17 @@ int log2_of(int k) {
   return l;
 }
 
-void run_weak_scaling(benchmark::State& state, AlltoallStrategy strategy) {
+void BM_Fig5(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
   const int n = kBaseN + log2_of(ranks);
-  const DistributedFurSimulator sim(labs_terms(n),
-                                    {.ranks = ranks, .strategy = strategy});
+  const DistributedFurSimulator sim(labs_terms(n), {.ranks = ranks});
   const std::vector<double> g{0.31}, b{0.57};
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim.simulate_and_expectation(g, b));
   }
   state.counters["n"] = n;
 }
-
-void BM_Fig5_Staged(benchmark::State& state) {
-  run_weak_scaling(state, AlltoallStrategy::Staged);
-}
-BENCHMARK(BM_Fig5_Staged)
-    ->RangeMultiplier(2)
-    ->Range(1, 16)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_Fig5_Pairwise(benchmark::State& state) {
-  run_weak_scaling(state, AlltoallStrategy::Pairwise);
-}
-BENCHMARK(BM_Fig5_Pairwise)
-    ->RangeMultiplier(2)
-    ->Range(1, 16)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_Fig5_Direct(benchmark::State& state) {
-  run_weak_scaling(state, AlltoallStrategy::Direct);
-}
-BENCHMARK(BM_Fig5_Direct)
+BENCHMARK(BM_Fig5)
     ->RangeMultiplier(2)
     ->Range(1, 16)
     ->Unit(benchmark::kMillisecond)

@@ -48,9 +48,9 @@ namespace qokit::api {
 // The `simulator` argument of every wrapper below is parsed by
 // SimulatorSpec::parse (see api/spec.hpp for the full grammar): "auto",
 // "serial", "threaded", "u16", "fwht", "gatesim", the distributed
-// spellings "dist[:K[:staged|pairwise|direct]]", plus key=value options
-// such as "seed=7". Unknown spellings throw std::invalid_argument naming
-// the offending token -- no entry point falls back to a default.
+// spelling "dist[:K]", plus key=value options such as "seed=7". Unknown
+// spellings throw std::invalid_argument naming the offending token -- no
+// entry point falls back to a default.
 
 /// QAOA objective for MaxCut on `g` at the given schedule (Listing 1).
 /// Returns <C> with C = -cut, so -return is the expected cut weight.

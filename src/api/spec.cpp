@@ -11,7 +11,6 @@
 #include "gatesim/execute.hpp"
 #include "gatesim/simulator.hpp"
 #include "obs/obs.hpp"
-#include "tune/profile.hpp"
 
 namespace qokit {
 namespace {
@@ -36,14 +35,6 @@ bool parse_backend(std::string_view token, Backend* out) {
   else if (token == "fwht") *out = Backend::Fwht;
   else if (token == "gatesim") *out = Backend::Gatesim;
   else if (token == "dist") *out = Backend::Dist;
-  else return false;
-  return true;
-}
-
-bool parse_strategy(std::string_view token, AlltoallStrategy* out) {
-  if (token == "staged") *out = AlltoallStrategy::Staged;
-  else if (token == "pairwise") *out = AlltoallStrategy::Pairwise;
-  else if (token == "direct") *out = AlltoallStrategy::Direct;
   else return false;
   return true;
 }
@@ -135,8 +126,6 @@ bool apply_option(std::string_view token, std::string_view name,
     if (ok) spec->exec = value == "serial" ? Exec::Serial : Exec::Parallel;
   } else if (key == "ranks") {
     ok = parse_int_option(value, name, &spec->ranks) && spec->ranks >= 1;
-  } else if (key == "alltoall") {
-    ok = parse_strategy(value, &spec->alltoall);
   } else if (key == "weight") {
     ok = parse_int_option(value, name, &spec->initial_weight);
   } else if (key == "simd") {
@@ -157,19 +146,10 @@ bool apply_option(std::string_view token, std::string_view name,
     else if (value == "f32") spec->prec = Prec::F32, ok = true;
     else if (value == "f64") spec->prec = Prec::F64, ok = true;
   } else if (key == "tune") {
-    // Any value that is not a recognized mode is a profile file path
-    // ("off" is an alias for "static", mirroring QOKIT_TUNE=off).
-    if (value == "auto") {
-      spec->tune = TuneChoice::Auto, spec->tune_path.clear(), ok = true;
-    } else if (value == "static" || value == "off") {
-      spec->tune = TuneChoice::Static, spec->tune_path.clear(), ok = true;
-    } else if (value == "search") {
-      spec->tune = TuneChoice::Search, spec->tune_path.clear(), ok = true;
-    } else if (!value.empty()) {
-      spec->tune = TuneChoice::Path;
-      spec->tune_path = std::string(value);
-      ok = true;
-    }
+    // "off" is an alias for "static", mirroring QOKIT_TUNE=off.
+    if (value == "auto") spec->tune = tune::TuneMode::Auto, ok = true;
+    else if (value == "static" || value == "off")
+      spec->tune = tune::TuneMode::Static, ok = true;
   }
   if (!ok) bad_token(token, name);
   return true;
@@ -196,11 +176,9 @@ SimulatorSpec SimulatorSpec::parse(std::string_view name) {
   if (!parse_backend(head, &spec.backend)) bad_token(head, name);
   spec.exec = default_exec(spec.backend);
 
-  // Remaining colon-separated tokens. The legacy distributed spelling
-  // "dist[:K[:strategy]]" uses positional tokens; everything else is
-  // key=value.
+  // Remaining colon-separated tokens. The distributed spelling "dist[:K]"
+  // takes one positional token; everything else is key=value.
   bool want_dist_ranks = spec.backend == Backend::Dist;
-  bool want_dist_strategy = false;
   while (pos != std::string_view::npos) {
     const std::size_t next = name.find(':', pos + 1);
     const std::string_view token =
@@ -215,19 +193,10 @@ SimulatorSpec SimulatorSpec::parse(std::string_view name) {
         out_of_range_token(token, name);
       if (spec.ranks < 1) bad_token(token, name);
       want_dist_ranks = false;
-      want_dist_strategy = true;
       continue;
     }
     want_dist_ranks = false;
-    if (apply_option(token, name, &spec)) {
-      want_dist_strategy = false;
-      continue;
-    }
-    if (want_dist_strategy && parse_strategy(token, &spec.alltoall)) {
-      want_dist_strategy = false;
-      continue;
-    }
-    bad_token(token, name);
+    if (!apply_option(token, name, &spec)) bad_token(token, name);
   }
   return spec;
 }
@@ -237,16 +206,10 @@ std::string SimulatorSpec::to_string() const {
   if (backend == Backend::Dist) {
     out += ':';
     out += std::to_string(ranks);
-    out += ':';
-    out += qokit::to_string(alltoall);
-  } else {
-    // ranks/alltoall are dist-only knobs, but the spec compares them, so
-    // the canonical spelling must carry non-default values to round-trip.
-    if (ranks != 2) out += ":ranks=" + std::to_string(ranks);
-    if (alltoall != AlltoallStrategy::Staged) {
-      out += ":alltoall=";
-      out += qokit::to_string(alltoall);
-    }
+  } else if (ranks != 2) {
+    // ranks is a dist-only knob, but the spec compares it, so the
+    // canonical spelling must carry a non-default value to round-trip.
+    out += ":ranks=" + std::to_string(ranks);
   }
   if (mixer != MixerType::X) {
     out += ":mixer=";
@@ -265,9 +228,7 @@ std::string SimulatorSpec::to_string() const {
                                                   : ":pipeline=off";
   if (sample_seed != 1) out += ":seed=" + std::to_string(sample_seed);
   if (obs) out += ":obs=on";
-  if (tune == TuneChoice::Static) out += ":tune=static";
-  else if (tune == TuneChoice::Search) out += ":tune=search";
-  else if (tune == TuneChoice::Path) out += ":tune=" + tune_path;
+  if (tune == tune::TuneMode::Static) out += ":tune=static";
   if (prec != Prec::Auto)
     out += prec == Prec::F32 ? ":prec=f32" : ":prec=f64";
   return out;
@@ -355,15 +316,6 @@ class GateSimAdapter final : public QaoaFastSimulatorBase {
 
 namespace {
 
-tune::TuneMode tune_mode_of(TuneChoice choice) {
-  switch (choice) {
-    case TuneChoice::Static: return tune::TuneMode::Static;
-    case TuneChoice::Search: return tune::TuneMode::Search;
-    case TuneChoice::Path: return tune::TuneMode::Path;
-    default: return tune::TuneMode::Auto;
-  }
-}
-
 /// True when the combination a spec resolves to can evolve f32 amplitudes:
 /// the fur/dist X-mixer paths. Gatesim and the xy mixers stay f64-only.
 bool supports_f32(const SimulatorSpec& spec) {
@@ -403,10 +355,9 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
   // One resolution per simulator: the profile's Geometry is injected into
   // the pipeline options below; its process-global side effects (thread
   // count, first-touch, obs gauges) are applied inside resolve_profile
-  // (cached, so repeat construction is cheap). Every profile is
+  // (once per process, so repeat construction is cheap). Every profile is
   // bit-identical to tune=static by the Geometry contract.
-  const tune::TuneProfile tuned =
-      tune::resolve_profile(tune_mode_of(spec.tune), spec.tune_path);
+  const tune::TuneProfile tuned = tune::resolve_profile(spec.tune);
   const Precision prec = resolve_precision(spec);
   if (prec == Precision::F32 && !supports_f32(spec))
     throw std::invalid_argument(
@@ -438,7 +389,6 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
       return std::make_unique<DistributedFurSimulator>(
           terms,
           DistConfig{.ranks = spec.ranks,
-                     .strategy = spec.alltoall,
                      .pipeline = {.mode = spec.pipeline,
                                   .geometry = tuned.geometry},
                      .prec = prec});

@@ -16,11 +16,11 @@
 #include <string_view>
 
 #include "common/cpu_features.hpp"
-#include "dist/alltoall.hpp"
 #include "fur/mixers.hpp"
 #include "fur/simulator.hpp"
 #include "pipeline/layer_plan.hpp"
 #include "terms/term.hpp"
+#include "tune/profile.hpp"
 
 namespace qokit {
 
@@ -58,33 +58,22 @@ enum class Prec {
   F64,   ///< double amplitudes (the pre-existing behavior)
 };
 
-/// How a spec engages the machine-adaptive subsystem (src/tune/). Every
-/// choice is bit-identical to every other — tuning changes traversal
-/// order and placement, never arithmetic.
-enum class TuneChoice {
-  Auto,    ///< follow QOKIT_TUNE / QOKIT_TUNE_PATH; default = heuristic
-  Static,  ///< pin the pre-tune defaults ("static"/"off"; the CI oracle)
-  Search,  ///< force the one-shot empirical micro-search
-  Path,    ///< load the profile file named by SimulatorSpec::tune_path
-};
-
 /// Typed construction-time configuration for every simulator backend.
 ///
 /// String grammar (SimulatorSpec::parse):
 ///
 ///   spec    := backend (":" option)*
 ///   backend := "auto" | "serial" | "threaded" | "u16" | "fwht"
-///            | "gatesim" | "dist" [":" K [":" staged|pairwise|direct]]
+///            | "gatesim" | "dist" [":" K]
 ///   option  := "mixer="    ("x" | "xyring" | "xycomplete")
 ///            | "exec="     ("serial" | "parallel")
 ///            | "ranks="    <int>                (dist only)
-///            | "alltoall=" ("staged" | "pairwise" | "direct")
 ///            | "weight="   <int>                (Dicke weight, xy mixers)
 ///            | "simd="     ("auto" | "scalar" | "avx2")
 ///            | "seed="     <uint64>             (sampling seed)
 ///            | "pipeline=" ("auto" | "on" | "off")
 ///            | "obs="      ("on" | "off")
-///            | "tune="     ("auto" | "static" | "off" | "search" | <path>)
+///            | "tune="     ("auto" | "static" | "off")
 ///            | "prec="     ("auto" | "f32" | "f64")
 ///
 /// Any other token throws std::invalid_argument naming the offending
@@ -99,7 +88,6 @@ struct SimulatorSpec {
   /// rank threads are the parallelism.
   Exec exec = Exec::Parallel;
   int ranks = 2;  ///< virtual rank count (Backend::Dist only)
-  AlltoallStrategy alltoall = AlltoallStrategy::Staged;  ///< Dist only
   int initial_weight = -1;  ///< Dicke weight for xy mixers; -1 = n/2
   /// SIMD kernel-family override. Applied by ProblemSession at
   /// construction via force_simd_level -- PROCESS-GLOBAL and sticky,
@@ -122,17 +110,12 @@ struct SimulatorSpec {
   /// sticky -- obs=on is never un-set by a later default-spec session.
   bool obs = false;
   /// Machine-adaptive execution (src/tune/). make_simulator resolves the
-  /// effective TuneProfile (spec value first, then QOKIT_TUNE /
-  /// QOKIT_TUNE_PATH for Auto) and injects its pipeline Geometry into the
-  /// simulator; thread-count and NUMA side effects are process-global,
-  /// applied at resolution. "tune=off" parses as Static (and canonicalizes
-  /// to "tune=static"); any other unrecognized value is taken as a profile
-  /// file path (tune_path). Bit-identical across all choices by contract.
-  TuneChoice tune = TuneChoice::Auto;
-  /// Profile file for TuneChoice::Path (empty otherwise). Paths containing
-  /// ':' are not representable in the string grammar; build the spec
-  /// directly for those.
-  std::string tune_path;
+  /// effective TuneProfile (spec value first, then QOKIT_TUNE=off for
+  /// Auto) and injects its pipeline Geometry into the simulator;
+  /// thread-count and NUMA side effects are process-global, applied at
+  /// resolution. "tune=off" parses as Static (and canonicalizes to
+  /// "tune=static"). Bit-identical across both choices by contract.
+  tune::TuneMode tune = tune::TuneMode::Auto;
   /// Amplitude scalar width (see enum Prec). Auto = QOKIT_PREC env, else
   /// f64; to_string() elides Auto so default spellings are unchanged.
   Prec prec = Prec::Auto;

@@ -1,75 +1,42 @@
-// The three alltoall transports (see alltoall.hpp for the model each one
-// corresponds to). All operate on the same window table published in
-// WorldState and realize the same permutation: rank r block b ends up
-// holding what rank b held in block r.
-#include "dist/alltoall.hpp"
-
+// The alltoall transport of the distributed simulator (paper Sec. III-C):
+// the qubit-reordering exchange of Algorithm 4 is a K-rank block
+// transpose. After the exchange, rank r's block b holds what rank b held
+// in block r.
+//
+// One schedule realizes it: K-1 XOR-scheduled pairwise rounds. In round
+// s ranks r and r^s swap block r^s of r with block r of r^s directly, one
+// copy per element. This is the round structure a real MPI_Sendrecv (or
+// GPU peer-to-peer) transport implements, so a multi-node backend swaps
+// the in-process std::swap_ranges for a send/receive pair and keeps the
+// schedule.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <stdexcept>
 
 #include "dist/communicator.hpp"
 #include "obs/obs.hpp"
 
 namespace qokit {
 
-std::string_view to_string(AlltoallStrategy strategy) {
-  switch (strategy) {
-    case AlltoallStrategy::Staged:
-      return "staged";
-    case AlltoallStrategy::Pairwise:
-      return "pairwise";
-    case AlltoallStrategy::Direct:
-      return "direct";
-  }
-  throw std::logic_error("to_string: unknown AlltoallStrategy");
-}
-
-AlltoallStrategy alltoall_strategy_from_string(std::string_view name) {
-  if (name == "staged") return AlltoallStrategy::Staged;
-  if (name == "pairwise") return AlltoallStrategy::Pairwise;
-  if (name == "direct") return AlltoallStrategy::Direct;
-  throw std::invalid_argument("unknown alltoall strategy '" +
-                              std::string(name) + "'");
-}
-
 namespace {
 
 using detail::WorldState;
 
-/// Per-transport instrumentation: calls / exchanged bytes / barrier rounds
-/// counters plus a histogram of time this rank spent waiting at barriers
-/// (the load-imbalance signal). One set per transport so a mixed workload
-/// stays attributable.
-struct TransportMetrics {
+/// Instrumentation: calls / exchanged bytes / barrier rounds counters plus
+/// a histogram of time this rank spent waiting at barriers (the
+/// load-imbalance signal).
+struct AlltoallMetrics {
   obs::Counter calls;
   obs::Counter bytes;
   obs::Counter rounds;
   obs::Histogram wait_ns;
 };
 
-const TransportMetrics& transport_metrics(AlltoallStrategy strategy) {
-  static const TransportMetrics staged{
-      obs::counter("qokit_alltoall_staged_calls_total"),
-      obs::counter("qokit_alltoall_staged_bytes_total"),
-      obs::counter("qokit_alltoall_staged_rounds_total"),
-      obs::histogram("qokit_alltoall_staged_wait_ns")};
-  static const TransportMetrics pairwise{
-      obs::counter("qokit_alltoall_pairwise_calls_total"),
-      obs::counter("qokit_alltoall_pairwise_bytes_total"),
-      obs::counter("qokit_alltoall_pairwise_rounds_total"),
-      obs::histogram("qokit_alltoall_pairwise_wait_ns")};
-  static const TransportMetrics direct{
-      obs::counter("qokit_alltoall_direct_calls_total"),
-      obs::counter("qokit_alltoall_direct_bytes_total"),
-      obs::counter("qokit_alltoall_direct_rounds_total"),
-      obs::histogram("qokit_alltoall_direct_wait_ns")};
-  switch (strategy) {
-    case AlltoallStrategy::Staged: return staged;
-    case AlltoallStrategy::Pairwise: return pairwise;
-    default: return direct;
-  }
+const AlltoallMetrics& alltoall_metrics() {
+  static const AlltoallMetrics m{obs::counter("qokit_alltoall_calls_total"),
+                                 obs::counter("qokit_alltoall_bytes_total"),
+                                 obs::counter("qokit_alltoall_rounds_total"),
+                                 obs::histogram("qokit_alltoall_wait_ns")};
+  return m;
 }
 
 /// Barrier arrival that accumulates this rank's wait time into *wait_ns
@@ -88,45 +55,12 @@ void barrier_wait(WorldState& st, std::uint64_t* wait_ns) {
           .count());
 }
 
-/// MPI_Alltoall model: scatter into a central staging buffer laid out
-/// destination-major, then every rank reads its row back contiguously.
-/// Two full copies of the exchanged data. Templated on the amplitude type
-/// (staging is a byte buffer sized in elements of C, so the f32 exchange
-/// stages half the bytes).
-template <class C>
-void alltoall_staged(WorldState& st, int rank, C* buf, std::uint64_t block,
-                     std::uint64_t* wait_ns) {
-  const int k = st.size;
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(k) * k * block * sizeof(C);
-  // Entry barrier doubles as the guard that every rank has finished reading
-  // the staging buffer from any previous exchange before rank 0 regrows it.
-  barrier_wait(st, wait_ns);
-  if (rank == 0 && st.staging.size() < total) st.staging.resize(total);
-  barrier_wait(st, wait_ns);
-  // If any rank died (in particular rank 0, which owns the resize above),
-  // the staging buffer cannot be trusted; abandon the exchange and let
-  // run() re-throw after the join.
-  if (st.failed.load(std::memory_order_acquire)) return;
-  // vector<std::byte>'s allocation carries operator-new alignment (>=
-  // alignof(C) for both amplitude types), so the element view is valid.
-  C* stage = reinterpret_cast<C*>(st.staging.data());
-  // staging[(dest * k + src) * block .. ] = src's block dest.
-  for (int b = 0; b < k; ++b)
-    std::copy_n(buf + static_cast<std::uint64_t>(b) * block, block,
-                stage + (static_cast<std::uint64_t>(b) * k + rank) * block);
-  barrier_wait(st, wait_ns);
-  // My row is contiguous: block b = what rank b sent to me.
-  std::copy_n(stage + static_cast<std::uint64_t>(rank) * k * block,
-              static_cast<std::uint64_t>(k) * block, buf);
-  barrier_wait(st, wait_ns);
-}
-
-/// GPU p2p model: K-1 XOR-scheduled rounds of direct block swaps. In round
-/// s the pair (r, r^s) swaps r's block r^s with (r^s)'s block r; the lower
-/// rank performs the swap while the higher one holds at the round barrier.
+/// K-1 XOR-scheduled rounds of direct block swaps. In round s the pair
+/// (r, r^s) swaps r's block r^s with (r^s)'s block r; the lower rank
+/// performs the swap while the higher one holds at the round barrier.
 /// Each block is touched in exactly one round, so the rounds compose into
-/// the full transpose with a single copy per element.
+/// the full transpose with a single copy per element. Templated on the
+/// amplitude type (the f32 exchange moves half the bytes).
 template <class C>
 void alltoall_pairwise(WorldState& st, int rank, C* buf, std::uint64_t block,
                        std::uint64_t* wait_ns) {
@@ -149,35 +83,10 @@ void alltoall_pairwise(WorldState& st, int rank, C* buf, std::uint64_t block,
   }
 }
 
-/// One-sided RDMA model: every rank publishes a receive slice and each
-/// peer writes its outgoing block straight into it; one remote write plus
-/// one local copy back into the live buffer.
-template <class C>
-void alltoall_direct(WorldState& st, int rank, C* buf, std::uint64_t block,
-                     std::vector<std::byte>& recv, std::uint64_t* wait_ns) {
-  const int k = st.size;
-  const std::uint64_t count = static_cast<std::uint64_t>(k) * block;
-  recv.resize(count * sizeof(C));
-  st.windows[rank] = recv.data();
-  barrier_wait(st, wait_ns);
-  // See alltoall_pairwise: never write into a dead rank's window.
-  if (st.failed.load(std::memory_order_acquire)) return;
-  for (int b = 0; b < k; ++b)
-    std::copy_n(buf + static_cast<std::uint64_t>(b) * block, block,
-                static_cast<C*>(st.windows[b]) +
-                    static_cast<std::uint64_t>(rank) * block);
-  barrier_wait(st, wait_ns);
-  std::copy_n(reinterpret_cast<const C*>(recv.data()), count, buf);
-  // Exit barrier: nobody re-publishes a window (next exchange) while a
-  // peer is still draining its receive slice.
-  barrier_wait(st, wait_ns);
-}
-
 /// Shared body of the two public alltoall overloads: instrumentation plus
-/// transport dispatch, with xfer_bytes charged at the actual element width.
+/// the exchange, with xfer_bytes charged at the actual element width.
 template <class C>
-void alltoall_impl(WorldState& st, int rank, std::vector<std::byte>& recv,
-                   C* buf, std::uint64_t block) {
+void alltoall_impl(WorldState& st, int rank, C* buf, std::uint64_t block) {
   if (st.size == 1) return;  // self-exchange is the identity
   const bool observed = obs::enabled();
   const int k = st.size;
@@ -186,46 +95,28 @@ void alltoall_impl(WorldState& st, int rank, std::vector<std::byte>& recv,
   obs::Span span("alltoall");
   std::uint64_t wait_acc = 0;
   std::uint64_t* wait_ns = nullptr;
-  const TransportMetrics* m = nullptr;
   if (observed) {
-    m = &transport_metrics(st.strategy);
-    m->calls.add();
-    m->bytes.add(xfer_bytes);
-    // Barrier-synchronized communication rounds per call: staged does a
-    // scatter and a gather, pairwise one swap round per peer, direct one
-    // one-sided write phase.
-    m->rounds.add(st.strategy == AlltoallStrategy::Pairwise
-                      ? static_cast<std::uint64_t>(k - 1)
-                      : st.strategy == AlltoallStrategy::Staged ? 2 : 1);
-    span.attr("transport", to_string(st.strategy).data());
+    const AlltoallMetrics& m = alltoall_metrics();
+    m.calls.add();
+    m.bytes.add(xfer_bytes);
+    // One barrier-synchronized swap round per peer.
+    m.rounds.add(static_cast<std::uint64_t>(k - 1));
     span.attr("bytes", xfer_bytes);
     span.attr("ranks", k);
     wait_ns = &wait_acc;
   }
-  switch (st.strategy) {
-    case AlltoallStrategy::Staged:
-      alltoall_staged(st, rank, buf, block, wait_ns);
-      break;
-    case AlltoallStrategy::Pairwise:
-      alltoall_pairwise(st, rank, buf, block, wait_ns);
-      break;
-    case AlltoallStrategy::Direct:
-      alltoall_direct(st, rank, buf, block, recv, wait_ns);
-      break;
-    default:
-      throw std::logic_error("alltoall: unknown strategy");
-  }
-  if (observed) m->wait_ns.record(wait_acc);
+  alltoall_pairwise(st, rank, buf, block, wait_ns);
+  if (observed) alltoall_metrics().wait_ns.record(wait_acc);
 }
 
 }  // namespace
 
 void Communicator::alltoall(cdouble* buf, std::uint64_t block) {
-  alltoall_impl(*state_, rank_, recv_, buf, block);
+  alltoall_impl(*state_, rank_, buf, block);
 }
 
 void Communicator::alltoall(cfloat* buf, std::uint64_t block) {
-  alltoall_impl(*state_, rank_, recv_, buf, block);
+  alltoall_impl(*state_, rank_, buf, block);
 }
 
 }  // namespace qokit

@@ -25,8 +25,7 @@ double Communicator::allreduce_sum(double value) {
   return total;
 }
 
-VirtualRankWorld::VirtualRankWorld(int size, AlltoallStrategy strategy)
-    : size_(size), strategy_(strategy) {
+VirtualRankWorld::VirtualRankWorld(int size) : size_(size) {
   if (size < 1 || (static_cast<unsigned>(size) &
                    (static_cast<unsigned>(size) - 1u)) != 0u)
     throw std::invalid_argument(
@@ -36,7 +35,7 @@ VirtualRankWorld::VirtualRankWorld(int size, AlltoallStrategy strategy)
 
 void VirtualRankWorld::run(const std::function<void(Communicator&)>& fn)
     const {
-  detail::WorldState state(size_, strategy_);
+  detail::WorldState state(size_);
 
   if (size_ == 1) {
     // Single rank: run inline; barriers over a one-thread team are no-ops

@@ -80,7 +80,7 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
     : cfg_(cfg),
       log2_ranks_(std::countr_zero(static_cast<unsigned>(
           cfg.ranks > 0 ? cfg.ranks : 1))),
-      world_(cfg.ranks, cfg.strategy) {
+      world_(cfg.ranks) {
   const int n = terms.num_qubits();
   if (2 * log2_ranks_ > n)
     throw std::invalid_argument(
@@ -238,9 +238,9 @@ double DistributedFurSimulator::get_overlap(const StateVector& result,
 }
 
 std::unique_ptr<QaoaFastSimulatorBase> choose_simulator_distributed(
-    const TermList& terms, int ranks, AlltoallStrategy strategy) {
+    const TermList& terms, int ranks) {
   return std::make_unique<DistributedFurSimulator>(
-      terms, DistConfig{.ranks = ranks, .strategy = strategy});
+      terms, DistConfig{.ranks = ranks});
 }
 
 }  // namespace qokit

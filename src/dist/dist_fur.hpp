@@ -53,7 +53,6 @@ double expectation_slice(Communicator& comm, const cfloat* local,
 /// Construction-time options for DistributedFurSimulator.
 struct DistConfig {
   int ranks = 2;  ///< virtual rank count K; must be a power of two
-  AlltoallStrategy strategy = AlltoallStrategy::Staged;
   /// Fused layer execution on the rank-local slices (phase fused into the
   /// first local mixer sweep, tiled butterflies between the alltoall
   /// reorders); bit-identical to the unfused per-rank loop.
@@ -121,7 +120,6 @@ class DistributedFurSimulator final : public QaoaFastSimulatorBase {
 
 /// Factory matching choose_simulator's shape for the distributed backend.
 std::unique_ptr<QaoaFastSimulatorBase> choose_simulator_distributed(
-    const TermList& terms, int ranks,
-    AlltoallStrategy strategy = AlltoallStrategy::Staged);
+    const TermList& terms, int ranks);
 
 }  // namespace qokit

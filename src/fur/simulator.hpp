@@ -171,7 +171,7 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
 /// make_simulator(terms, SimulatorSpec::parse(name)) — see api/spec.hpp
 /// for the full grammar. Recognized base names: "auto" (threaded
 /// fused-kernel, the default), "serial", "threaded", "u16", "fwht",
-/// "gatesim", and the distributed spellings "dist[:K[:strategy]]".
+/// "gatesim", and the distributed spellings "dist[:K]".
 /// Unknown names throw std::invalid_argument naming the offending token.
 std::unique_ptr<QaoaFastSimulatorBase> choose_simulator(
     const TermList& terms, std::string_view name = "auto");

@@ -1,35 +1,17 @@
 #include "tune/profile.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
-#include <utility>
 
 #include "common/aligned.hpp"
 #include "common/parallel.hpp"
-#include "common/sync.hpp"
-#include "common/timer.hpp"
-#include "fur/mixers.hpp"
 #include "obs/obs.hpp"
-#include "pipeline/layer_exec.hpp"
-#include "pipeline/layer_plan.hpp"
-#include "statevector/state.hpp"
 
 namespace qokit::tune {
 
 namespace {
-
-constexpr const char* kSchema = "qokit-tune-v1";
-/// Staleness-key wildcard: matches any machine. Committed CI fixture
-/// profiles carry it so they load on every runner.
-constexpr const char* kAnyMachine = "any";
 
 int floor_log2_u64(std::uint64_t v) {
   int r = 0;
@@ -42,28 +24,12 @@ int floor_log2_u64(std::uint64_t v) {
 
 }  // namespace
 
-const char* numa_policy_name(NumaPolicy p) noexcept {
-  return p == NumaPolicy::FirstTouch ? "first_touch" : "none";
-}
-
-const char* profile_source_name(ProfileSource s) noexcept {
-  switch (s) {
-    case ProfileSource::Static: return "static";
-    case ProfileSource::Heuristic: return "heuristic";
-    case ProfileSource::Search: return "search";
-    case ProfileSource::File: return "file";
-  }
-  return "static";
-}
-
 TuneProfile static_profile() {
   TuneProfile p;
   p.geometry = pipeline::Geometry::defaults();
   p.threads = 0;
   p.numa = NumaPolicy::None;
   p.source = ProfileSource::Static;
-  p.cpu_model = kAnyMachine;
-  p.simd_level = kAnyMachine;
   return p;
 }
 
@@ -89,267 +55,19 @@ TuneProfile heuristic_profile(const MachineTopology& topo) {
   p.threads = std::max(1, topo.physical_cores);
   p.numa = topo.numa_nodes > 1 ? NumaPolicy::FirstTouch : NumaPolicy::None;
   p.source = ProfileSource::Heuristic;
-  p.cpu_model = topo.cpu_model;
-  p.simd_level = topo.simd_level;
   return p;
 }
 
-TuneProfile search_profile(const MachineTopology& topo) {
-  TuneProfile best = heuristic_profile(topo);
-  best.source = ProfileSource::Search;
-
-  // Time real fused layers on a scratch state around the heuristic point.
-  // n = 18 (4 MiB of state) is big enough that tile/group choices move
-  // the timing and small enough that 9 candidates x 2 reps stay tens of
-  // milliseconds total.
-  constexpr int n = 18;
-  constexpr std::uint64_t n_amps = std::uint64_t{1} << n;
-  aligned_vector<cdouble> amp(n_amps, cdouble{1.0, 0.0});
-  aligned_vector<double> costs(n_amps);
-  for (std::uint64_t i = 0; i < n_amps; ++i)
-    costs[i] = static_cast<double>(i % 97) * 0.01;
-
-  double best_seconds = -1.0;
-  const pipeline::Geometry h = best.geometry;
-  for (int tile = h.tile_log2 - 1; tile <= h.tile_log2 + 1; ++tile) {
-    for (int group = h.group_qubits - 1; group <= h.group_qubits + 1;
-         ++group) {
-      const pipeline::Geometry cand{std::clamp(tile, 12, std::min(20, n)),
-                                    std::clamp(group, 2, 8),
-                                    h.chunk_log2};
-      pipeline::PipelineOptions opts;
-      opts.mode = pipeline::PipelineMode::On;
-      opts.geometry = cand;
-      const auto plan = pipeline::LayerPlan::build(
-          n, MixerType::X, MixerBackend::Fused, opts);
-      if (!plan.active()) continue;
-      const pipeline::PhaseCtx phase{.costs = costs.data()};
-      double seconds = 1e300;
-      for (int rep = 0; rep < 2; ++rep) {
-        WallTimer timer;
-        pipeline::run_layer(plan, amp.data(), n_amps, phase, 0.31, 0.78,
-                            Exec::Parallel);
-        seconds = std::min(seconds, timer.seconds());
-      }
-      if (best_seconds < 0.0 || seconds < best_seconds) {
-        best_seconds = seconds;
-        best.geometry = cand;
-      }
-    }
-  }
-  return best;
-}
-
-// ------------------------------------------------------------- JSON I/O
-//
-// The profile is a flat object of known keys, so persistence is a
-// hand-rolled writer and a key-scanning reader — no JSON dependency, and
-// a torn or hostile file can only produce a diagnostic, never UB.
-
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// Extract the raw value token following `"key":` — a quoted string
-/// (returned unquoted) or a bare number. Returns false if absent.
-bool extract_value(const std::string& text, const std::string& key,
-                   std::string* out) {
-  const std::string needle = "\"" + key + "\"";
-  std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  pos = text.find(':', pos + needle.size());
-  if (pos == std::string::npos) return false;
-  ++pos;
-  while (pos < text.size() &&
-         (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n'))
-    ++pos;
-  if (pos >= text.size()) return false;
-  if (text[pos] == '"') {
-    const std::size_t end = text.find('"', pos + 1);
-    if (end == std::string::npos) return false;
-    *out = text.substr(pos + 1, end - pos - 1);
-    return true;
-  }
-  std::size_t end = pos;
-  while (end < text.size() &&
-         (std::isdigit(static_cast<unsigned char>(text[end])) ||
-          text[end] == '-'))
-    ++end;
-  if (end == pos) return false;
-  *out = text.substr(pos, end - pos);
-  return true;
-}
-
-bool extract_int(const std::string& text, const std::string& key, int lo,
-                 int hi, int* out) {
-  std::string raw;
-  if (!extract_value(text, key, &raw)) return false;
-  try {
-    const int v = std::stoi(raw);
-    if (v < lo || v > hi) return false;
-    *out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool machine_key_matches(const std::string& stored,
-                         const std::string& probed) {
-  return stored == kAnyMachine || stored == probed;
-}
-
-}  // namespace
-
-bool save_profile(const std::string& path, const TuneProfile& profile,
-                  std::string* error) {
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"schema\": \"" << kSchema << "\",\n"
-       << "  \"cpu_model\": \"" << json_escape(profile.cpu_model) << "\",\n"
-       << "  \"simd_level\": \"" << json_escape(profile.simd_level)
-       << "\",\n"
-       << "  \"tile_log2\": " << profile.geometry.tile_log2 << ",\n"
-       << "  \"group_qubits\": " << profile.geometry.group_qubits << ",\n"
-       << "  \"chunk_log2\": " << profile.geometry.chunk_log2 << ",\n"
-       << "  \"threads\": " << profile.threads << ",\n"
-       << "  \"numa\": \"" << numa_policy_name(profile.numa) << "\",\n"
-       << "  \"source\": \"" << profile_source_name(profile.source)
-       << "\"\n"
-       << "}\n";
-
-  // Atomic publish: write a sibling tmp file, then rename over the
-  // target. Readers see either the old profile or the new one, never a
-  // torn write.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      if (error) *error = "cannot open for write: " + tmp;
-      return false;
-    }
-    out << json.str();
-    out.flush();
-    if (!out) {
-      if (error) *error = "write failed: " + tmp;
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (error) *error = "rename failed: " + path;
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool load_profile(const std::string& path, const MachineTopology& topo,
-                  TuneProfile* out, std::string* diagnostic) {
-  std::ifstream in(path);
-  if (!in) {
-    if (diagnostic) *diagnostic = "missing profile: " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  if (text.empty()) {
-    if (diagnostic) *diagnostic = "corrupt profile: empty file: " + path;
-    return false;
-  }
-
-  std::string schema;
-  if (!extract_value(text, "schema", &schema) || schema != kSchema) {
-    if (diagnostic)
-      *diagnostic = "wrong schema: expected " + std::string(kSchema) +
-                    ", got \"" + schema + "\": " + path;
-    return false;
-  }
-
-  TuneProfile p;
-  if (!extract_int(text, "tile_log2", 2, 30, &p.geometry.tile_log2) ||
-      !extract_int(text, "group_qubits", 1, 16, &p.geometry.group_qubits) ||
-      !extract_int(text, "chunk_log2", 2, 30, &p.geometry.chunk_log2) ||
-      !extract_int(text, "threads", 0, 4096, &p.threads)) {
-    if (diagnostic)
-      *diagnostic =
-          "corrupt profile: missing or out-of-range numeric field: " + path;
-    return false;
-  }
-  if (!extract_value(text, "cpu_model", &p.cpu_model) ||
-      !extract_value(text, "simd_level", &p.simd_level)) {
-    if (diagnostic)
-      *diagnostic = "corrupt profile: missing machine key: " + path;
-    return false;
-  }
-  std::string numa;
-  if (extract_value(text, "numa", &numa) && numa == "first_touch")
-    p.numa = NumaPolicy::FirstTouch;
-
-  if (!machine_key_matches(p.cpu_model, topo.cpu_model) ||
-      !machine_key_matches(p.simd_level, topo.simd_level)) {
-    if (diagnostic)
-      *diagnostic = "stale profile: written for cpu_model=\"" +
-                    p.cpu_model + "\" simd_level=\"" + p.simd_level +
-                    "\", this machine is cpu_model=\"" + topo.cpu_model +
-                    "\" simd_level=\"" + topo.simd_level + "\": " + path;
-    return false;
-  }
-
-  p.source = ProfileSource::File;
-  *out = p;
-  return true;
-}
-
-// ----------------------------------------------------------- resolution
-
-namespace {
-
-struct ResolveState {
-  Mutex mu;
-  bool probed QOKIT_GUARDED_BY(mu) = false;
-  MachineTopology topo QOKIT_GUARDED_BY(mu);
-  std::map<std::pair<int, std::string>, TuneProfile> cache
-      QOKIT_GUARDED_BY(mu);
-  std::string diagnostic QOKIT_GUARDED_BY(mu);
-};
-
-ResolveState& resolve_state() {
-  static ResolveState s;
-  return s;
-}
-
-/// Fold the environment into the spec-level request. Spec values other
-/// than Auto win outright; Auto defers to QOKIT_TUNE ("off"/"static",
-/// "search") and QOKIT_TUNE_PATH.
-void effective_request(TuneMode* mode, std::string* path) {
-  if (*mode != TuneMode::Auto) return;
-  if (const char* v = std::getenv("QOKIT_TUNE")) {
-    const std::string s(v);
-    // "0"/"false" included for the same YAML boolean-coercion reason as
-    // QOKIT_PIPELINE (see pipeline_disabled_by_env).
-    if (s == "off" || s == "OFF" || s == "static" || s == "0" ||
-        s == "false")
-      *mode = TuneMode::Static;
-    else if (s == "search")
-      *mode = TuneMode::Search;
-  }
-  if (*mode != TuneMode::Static && path->empty()) {
-    if (const char* p = std::getenv("QOKIT_TUNE_PATH"); p && *p) *path = p;
-  }
+/// "0"/"false" included for the same YAML boolean-coercion reason as
+/// QOKIT_PIPELINE (see pipeline_disabled_by_env).
+bool static_by_env() {
+  const char* v = std::getenv("QOKIT_TUNE");
+  if (v == nullptr) return false;
+  const std::string s(v);
+  return s == "off" || s == "OFF" || s == "static" || s == "0" ||
+         s == "false";
 }
 
 void export_gauges(const TuneProfile& profile, const MachineTopology& topo) {
@@ -385,69 +103,26 @@ void apply_profile(const TuneProfile& profile) {
   if (profile.numa == NumaPolicy::FirstTouch) set_first_touch_enabled(true);
 }
 
-}  // namespace
-
-TuneProfile resolve_profile(TuneMode mode, const std::string& path_in) {
-  std::string path = path_in;
-  effective_request(&mode, &path);
-
-  if (mode == TuneMode::Static) {
-    // The oracle path: no probe, no file I/O, no runtime mutation —
-    // exactly the pre-tune behavior.
-    return static_profile();
-  }
-
-  ResolveState& st = resolve_state();
-  MutexLock lock(st.mu);
-  const std::pair<int, std::string> key{static_cast<int>(mode), path};
-  if (const auto it = st.cache.find(key); it != st.cache.end())
-    return it->second;
-
-  if (!st.probed) {
-    st.topo = probe_machine();
-    st.probed = true;
-  }
-  st.diagnostic.clear();
-
-  TuneProfile profile;
-  bool loaded = false;
-  if (!path.empty() && mode != TuneMode::Search) {
-    std::string diag;
-    if (load_profile(path, st.topo, &profile, &diag)) {
-      loaded = true;
-    } else {
-      st.diagnostic = diag;
-      if (mode == TuneMode::Path) {
-        // An explicitly named profile that cannot be used degrades to
-        // the heuristic: serving beats failing, and the diagnostic is
-        // pinned for tests/operators.
-        profile = heuristic_profile(st.topo);
-      }
-    }
-  }
-  if (!loaded && mode != TuneMode::Path) {
-    profile = mode == TuneMode::Search ? search_profile(st.topo)
-                                       : heuristic_profile(st.topo);
-    if (!path.empty()) {
-      // Auto/Search with a configured path: persist so the next process
-      // (or the next CI leg) loads instead of recomputing. Best effort —
-      // an unwritable path only records a diagnostic.
-      std::string err;
-      if (!save_profile(path, profile, &err) && st.diagnostic.empty())
-        st.diagnostic = err;
-    }
-  }
-
-  apply_profile(profile);
-  export_gauges(profile, st.topo);
-  st.cache.emplace(key, profile);
+/// The machine is probed, and the heuristic applied, once per process
+/// (thread-safe static initialization).
+const TuneProfile& process_heuristic() {
+  static const TuneProfile profile = [] {
+    const MachineTopology topo = probe_machine();
+    const TuneProfile p = heuristic_profile(topo);
+    apply_profile(p);
+    export_gauges(p, topo);
+    return p;
+  }();
   return profile;
 }
 
-std::string last_resolve_diagnostic() {
-  ResolveState& st = resolve_state();
-  MutexLock lock(st.mu);
-  return st.diagnostic;
+}  // namespace
+
+TuneProfile resolve_profile(TuneMode mode) {
+  // The oracle path: no probe, no runtime mutation — exactly the pre-tune
+  // behavior.
+  if (mode == TuneMode::Static || static_by_env()) return static_profile();
+  return process_heuristic();
 }
 
 }  // namespace qokit::tune

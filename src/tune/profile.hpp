@@ -3,29 +3,19 @@
 // A profile is everything the runtime adapts per machine: the pipeline
 // Geometry (tile/group/chunk), the thread count, and the NUMA placement
 // policy. It is computed from a MachineProbe by a closed-form heuristic
-// (heuristic_profile — pure, unit-testable against fake topologies), or
-// refined by a one-shot empirical micro-search (search_profile — a few
-// timed layer sweeps at first use), and persisted to a versioned JSON
-// file so later processes skip the search.
+// (heuristic_profile — pure, unit-testable against fake topologies).
 //
-// The contract that makes all of this safe: a profile changes only *how*
-// the state is traversed (Geometry, threads, page placement), never the
+// The contract that makes this safe: a profile changes only *how* the
+// state is traversed (Geometry, threads, page placement), never the
 // per-amplitude arithmetic — so every profile is bit-identical to the
 // static oracle (`QOKIT_TUNE=off` / tune=static), pinned by
 // tests/test_tune.cpp across every backend and Exec policy.
 //
 // Profile lifecycle (resolve_profile, the make_simulator entry point):
-//   spec tune=...  ─┐
-//   QOKIT_TUNE      ├─► effective mode ──► static │ load file │ heuristic
-//   QOKIT_TUNE_PATH ┘                             │ micro-search
-// Loads are schema-checked ("qokit-tune-v1") and staleness-checked
-// against the probe's cpu_model/simd_level (the literal value "any"
-// matches every machine — for committed CI fixtures); corrupt, stale, or
-// wrong-schema files degrade to the heuristic with a pinned diagnostic.
-// Saves are atomic (tmp + rename) so a crash never leaves a torn file.
+//   spec tune=static ─────────────────────► static_profile()
+//   spec tune=auto ─► QOKIT_TUNE=off? ─yes─► static_profile()
+//                                      no ─► heuristic (probed once)
 #pragma once
-
-#include <string>
 
 #include "pipeline/geometry.hpp"
 #include "tune/machine_probe.hpp"
@@ -44,12 +34,7 @@ enum class NumaPolicy {
 enum class ProfileSource {
   Static = 0,     ///< pinned pre-tune defaults (the CI oracle)
   Heuristic = 1,  ///< closed-form formulas over the probe
-  Search = 2,     ///< heuristic refined by timed micro-search
-  File = 3,       ///< loaded from a persisted JSON profile
 };
-
-const char* numa_policy_name(NumaPolicy p) noexcept;
-const char* profile_source_name(ProfileSource s) noexcept;
 
 struct TuneProfile {
   pipeline::Geometry geometry = pipeline::Geometry::defaults();
@@ -58,10 +43,6 @@ struct TuneProfile {
   int threads = 0;
   NumaPolicy numa = NumaPolicy::None;
   ProfileSource source = ProfileSource::Static;
-  /// Staleness keys: the machine the values were derived on. "any"
-  /// matches every machine (committed CI fixture profiles use it).
-  std::string cpu_model = "any";
-  std::string simd_level = "any";
 
   friend bool operator==(const TuneProfile&, const TuneProfile&) = default;
 };
@@ -79,47 +60,17 @@ TuneProfile static_profile();
 ///   threads: one per physical core; first-touch iff > 1 NUMA node
 TuneProfile heuristic_profile(const MachineTopology& topo);
 
-/// heuristic_profile refined by a one-shot micro-search: times real fused
-/// layer sweeps (run_layer on a scratch state) for a small neighborhood
-/// of tile/group candidates and keeps the fastest. Costs a few tens of
-/// milliseconds, once; the result is persisted when a path is configured.
-/// The chosen geometry may vary run-to-run (it is timing-based) — results
-/// never do.
-TuneProfile search_profile(const MachineTopology& topo);
-
-/// Serialize to versioned JSON at `path` atomically (write tmp in the
-/// same directory, then rename). Returns false (with *error set when
-/// non-null) if the directory is unwritable.
-bool save_profile(const std::string& path, const TuneProfile& profile,
-                  std::string* error = nullptr);
-
-/// Load and validate a profile: schema key must be "qokit-tune-v1", all
-/// numeric fields present and in range, and cpu_model/simd_level must
-/// match `topo` (or be "any"). On failure returns false and sets
-/// *diagnostic (pinned prefixes: "missing profile", "corrupt profile",
-/// "wrong schema", "stale profile") — the caller falls back to the
-/// heuristic and keeps serving.
-bool load_profile(const std::string& path, const MachineTopology& topo,
-                  TuneProfile* out, std::string* diagnostic);
-
-/// How a simulator asked for tuning (SimulatorSpec `tune=` maps here).
+/// How a simulator asks for tuning (the SimulatorSpec `tune=` token).
 enum class TuneMode {
-  Auto,    ///< env-directed: QOKIT_TUNE / QOKIT_TUNE_PATH, else heuristic
-  Static,  ///< pinned static_profile(); probes nothing
-  Search,  ///< force the micro-search (persisted when a path is set)
-  Path,    ///< load exactly `path`, heuristic fallback if unusable
+  Auto,    ///< heuristic, unless QOKIT_TUNE=off pins the static oracle
+  Static,  ///< pinned static_profile(); probes nothing ("static"/"off")
 };
 
-/// Resolve the effective profile for a new simulator and apply its
-/// process-wide side effects (thread count — only when OMP_NUM_THREADS is
-/// unset — first-touch enablement, obs gauges). Results are cached per
-/// (effective mode, effective path), where "effective" is computed after
-/// reading the environment, so tests that flip QOKIT_TUNE between calls
-/// observe the change. The machine is probed at most once per process.
-TuneProfile resolve_profile(TuneMode mode, const std::string& path = {});
-
-/// The diagnostic from the most recent resolve_profile fallback (empty
-/// when the last resolution was clean). For tests and logs.
-std::string last_resolve_diagnostic();
+/// Resolve the effective profile for a new simulator. The environment is
+/// read on every call (so tests that flip QOKIT_TUNE observe the change);
+/// the heuristic is computed once per process, when first resolved, and
+/// its process-wide side effects are applied then: thread count (only
+/// when OMP_NUM_THREADS is unset), first-touch enablement, obs gauges.
+TuneProfile resolve_profile(TuneMode mode);
 
 }  // namespace qokit::tune

@@ -104,14 +104,10 @@ TEST_P(SymmetricAgreementTest, HalfSpaceAgreesOnSymmetricProblems) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SymmetricAgreementTest,
                          ::testing::Range<std::uint64_t>(1, 9));
 
-class AlltoallInvolutionTest
-    : public ::testing::TestWithParam<AlltoallStrategy> {};
-
-TEST_P(AlltoallInvolutionTest, TwoApplicationsRestoreTheData) {
-  const AlltoallStrategy strategy = GetParam();
+TEST(AlltoallInvolution, TwoApplicationsRestoreTheData) {
   const int k = 8;
   const std::uint64_t block = 32;
-  VirtualRankWorld world(k, strategy);
+  VirtualRankWorld world(k);
   std::vector<std::vector<cdouble>> bufs(k);
   world.run([&](Communicator& comm) {
     Rng rng(1000 + comm.rank());
@@ -125,11 +121,6 @@ TEST_P(AlltoallInvolutionTest, TwoApplicationsRestoreTheData) {
       if (mine[i] != original[i]) ADD_FAILURE() << "rank " << comm.rank();
   });
 }
-
-INSTANTIATE_TEST_SUITE_P(Strategies, AlltoallInvolutionTest,
-                         ::testing::Values(AlltoallStrategy::Staged,
-                                           AlltoallStrategy::Pairwise,
-                                           AlltoallStrategy::Direct));
 
 class SessionLegacyAgreementTest
     : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,8 +1,8 @@
 // The cache-blocked fused layer pipeline (src/pipeline/) must be
 // *bit-identical* -- not merely close -- to the unfused per-qubit layer
 // loop it replaces, across every backend (serial / threaded / u16 / fwht /
-// dist:2 / dist:4:pairwise), both Exec policies, and both SIMD kernel
-// families; fusion reorders the memory traversal, never the per-amplitude
+// dist:2 / dist:4), both Exec policies, and both SIMD kernel families;
+// fusion reorders the memory traversal, never the per-amplitude
 // arithmetic. Also pins the plan's pass-count math, the tile-boundary edge
 // cases (n < t, n == t, odd high-qubit remainders), and the unfused
 // fallback (with diagnostic) for the xy mixers.
@@ -78,8 +78,7 @@ TEST_P(PipelineCrossValidationTest, FusedEqualsUnfusedOnEveryBackend) {
     force_simd_level(level);
     for (const char* name :
          {"serial", "threaded", "auto:exec=serial", "u16", "fwht",
-          "fwht:exec=serial", "u16:exec=serial", "dist:2",
-          "dist:4:pairwise"})
+          "fwht:exec=serial", "u16:exec=serial", "dist:2", "dist:4"})
       expect_fused_matches_oracle(terms, name);
   }
 }

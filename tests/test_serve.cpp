@@ -59,6 +59,63 @@ Request make_request(int n, std::uint64_t problem_seed,
   return request;
 }
 
+/// `request` framed for the wire with its spec replaced by the raw
+/// `spelling` (which need not parse): what a client that bypasses
+/// SimulatorSpec sends. Offsets follow the payload layout in protocol.hpp.
+std::vector<std::uint8_t> frame_with_spelling(const Request& request,
+                                              const std::string& spelling) {
+  std::vector<std::uint8_t> frame = encode_request(request);
+  const std::size_t len_at =
+      kFrameHeaderBytes + 8 + request.terms.size() * 16;
+  std::uint32_t old_len = 0;
+  std::memcpy(&old_len, frame.data() + len_at, sizeof old_len);
+  const auto spec_at = frame.begin() + static_cast<std::ptrdiff_t>(len_at + 4);
+  frame.insert(frame.erase(spec_at, spec_at + old_len), spelling.begin(),
+               spelling.end());
+  const auto new_len = static_cast<std::uint32_t>(spelling.size());
+  std::memcpy(frame.data() + len_at, &new_len, sizeof new_len);
+  const std::uint64_t payload_len = frame.size() - kFrameHeaderBytes;
+  std::memcpy(frame.data() + 8, &payload_len, sizeof payload_len);
+  return frame;
+}
+
+/// Connect a raw AF_UNIX socket to `path`; -1 on failure.
+int connect_raw(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Read exactly `len` bytes from `fd`; false on EOF or error.
+bool read_exact(int fd, std::uint8_t* out, std::size_t len) {
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t r = ::read(fd, out + got, len - got);
+    if (r <= 0) return false;
+    got += static_cast<std::size_t>(r);
+  }
+  return true;
+}
+
+/// Read one response frame from `fd`; nullopt if the stream ends first.
+std::optional<Response> read_response(int fd) {
+  std::uint8_t header[kFrameHeaderBytes];
+  if (!read_exact(fd, header, sizeof header)) return std::nullopt;
+  const FrameHeader h = decode_frame_header(header);
+  EXPECT_EQ(h.type, FrameType::Response);
+  std::vector<std::uint8_t> payload(h.payload_len);
+  if (!read_exact(fd, payload.data(), payload.size())) return std::nullopt;
+  return decode_response(payload);
+}
+
 // ------------------------------------------------------------ protocol
 
 TEST(ServeProtocol, RequestRoundTrips) {
@@ -524,6 +581,7 @@ TEST(ScheduleServer, QueueFullBackpressureRejectsImmediately) {
 TEST(ScheduleServer, BadRequestsAreReportedNotFatal) {
   ServerConfig config;
   config.workers = 1;
+  config.listen_path = "qokit_serve_badrequest.sock";
   ScheduleServer server(config);
   // Invalid dist rank count: surfaced as BadRequest naming the value
   // (the satellite validation in make_simulator), server stays up.
@@ -546,6 +604,39 @@ TEST(ScheduleServer, BadRequestsAreReportedNotFatal) {
       server.submit_blocking(make_request(8, 1, random_schedules(1, 1, 4)));
   EXPECT_EQ(ok.status, Status::Ok);
   ASSERT_EQ(ok.expectations.size(), 1u);
+
+  // Spellings only a wire client can send (SimulatorSpec::parse refuses to
+  // build them in-process). A tune= value is never a server-side path:
+  // the request is a BadRequest naming the token, and the connection
+  // keeps serving.
+  const int fd = connect_raw(config.listen_path);
+  ASSERT_GE(fd, 0);
+  const Request request = make_request(8, 1, random_schedules(1, 1, 4));
+  for (const char* spelling :
+       {"auto:tune=/nonexistent.json", "auto:tune=search", "dist:2:staged",
+        "dist:2:alltoall=direct"}) {
+    const std::vector<std::uint8_t> frame =
+        frame_with_spelling(request, spelling);
+    ASSERT_EQ(::write(fd, frame.data(), frame.size()),
+              static_cast<ssize_t>(frame.size()));
+    const std::optional<Response> r = read_response(fd);
+    ASSERT_TRUE(r.has_value()) << spelling;
+    EXPECT_EQ(r->status, Status::BadRequest) << spelling;
+    const std::string token =
+        std::string(spelling).substr(std::string(spelling).rfind(':') + 1);
+    EXPECT_NE(r->error.find(token), std::string::npos)
+        << spelling << " -> " << r->error;
+  }
+  // Same connection, canonical spelling: served.
+  const std::vector<std::uint8_t> good = frame_with_spelling(request, "auto");
+  ASSERT_EQ(::write(fd, good.data(), good.size()),
+            static_cast<ssize_t>(good.size()));
+  const std::optional<Response> wire_ok = read_response(fd);
+  ASSERT_TRUE(wire_ok.has_value());
+  EXPECT_EQ(wire_ok->status, Status::Ok);
+  EXPECT_EQ(wire_ok->expectations.size(), 1u);
+  ::close(fd);
+  server.shutdown();
 }
 
 TEST(ScheduleServer, MalformedSocketBytesGetErrorReplyAndClose) {
@@ -554,15 +645,8 @@ TEST(ScheduleServer, MalformedSocketBytesGetErrorReplyAndClose) {
   config.listen_path = "qokit_serve_malformed.sock";
   ScheduleServer server(config);
 
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = connect_raw(config.listen_path);
   ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, config.listen_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
-      0);
   // 16 bytes of garbage: a hopeless frame header.
   std::uint8_t garbage[kFrameHeaderBytes];
   std::memset(garbage, 0xFF, sizeof garbage);
@@ -570,26 +654,10 @@ TEST(ScheduleServer, MalformedSocketBytesGetErrorReplyAndClose) {
             static_cast<ssize_t>(sizeof garbage));
 
   // The server answers one well-formed error response...
-  std::uint8_t header[kFrameHeaderBytes];
-  std::size_t got = 0;
-  while (got < sizeof header) {
-    const ssize_t r = ::read(fd, header + got, sizeof header - got);
-    ASSERT_GT(r, 0);
-    got += static_cast<std::size_t>(r);
-  }
-  const FrameHeader h = decode_frame_header(header);
-  EXPECT_EQ(h.type, FrameType::Response);
-  std::vector<std::uint8_t> payload(h.payload_len);
-  got = 0;
-  while (got < payload.size()) {
-    const ssize_t r =
-        ::read(fd, payload.data() + got, payload.size() - got);
-    ASSERT_GT(r, 0);
-    got += static_cast<std::size_t>(r);
-  }
-  const Response response = decode_response(payload);
-  EXPECT_EQ(response.status, Status::BadRequest);
-  EXPECT_FALSE(response.error.empty());
+  const std::optional<Response> response = read_response(fd);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, Status::BadRequest);
+  EXPECT_FALSE(response->error.empty());
   // ...then closes the desynchronized connection.
   std::uint8_t byte;
   EXPECT_EQ(::read(fd, &byte, 1), 0);

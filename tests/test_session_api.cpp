@@ -40,34 +40,30 @@ TEST(SimulatorSpec, RoundTripsOverTheFullGrid) {
         Backend::Fwht, Backend::Gatesim, Backend::Dist})
     for (const MixerType mixer :
          {MixerType::X, MixerType::XYRing, MixerType::XYComplete})
-      for (const AlltoallStrategy strategy :
-           {AlltoallStrategy::Staged, AlltoallStrategy::Pairwise,
-            AlltoallStrategy::Direct})
-        for (const Exec exec : {Exec::Serial, Exec::Parallel})
-          for (const int ranks : {2, 8})
-            for (const int weight : {-1, 3})
-              for (const SimdChoice simd :
-                   {SimdChoice::Auto, SimdChoice::Scalar})
-                for (const pipeline::PipelineMode pipe :
-                     {pipeline::PipelineMode::Auto,
-                      pipeline::PipelineMode::On,
-                      pipeline::PipelineMode::Off})
-                  for (const std::uint64_t seed : {1ull, 42ull})
-                    for (const bool obs : {false, true}) {
-                      SimulatorSpec spec;
-                      spec.backend = backend;
-                      spec.mixer = mixer;
-                      spec.exec = exec;
-                      spec.ranks = ranks;
-                      spec.alltoall = strategy;
-                      spec.initial_weight = weight;
-                      spec.simd = simd;
-                      spec.pipeline = pipe;
-                      spec.sample_seed = seed;
-                      spec.obs = obs;
-                      const std::string name = spec.to_string();
-                      EXPECT_EQ(SimulatorSpec::parse(name), spec) << name;
-                    }
+      for (const Exec exec : {Exec::Serial, Exec::Parallel})
+        for (const int ranks : {2, 8})
+          for (const int weight : {-1, 3})
+            for (const SimdChoice simd :
+                 {SimdChoice::Auto, SimdChoice::Scalar})
+              for (const pipeline::PipelineMode pipe :
+                   {pipeline::PipelineMode::Auto,
+                    pipeline::PipelineMode::On,
+                    pipeline::PipelineMode::Off})
+                for (const std::uint64_t seed : {1ull, 42ull})
+                  for (const bool obs : {false, true}) {
+                    SimulatorSpec spec;
+                    spec.backend = backend;
+                    spec.mixer = mixer;
+                    spec.exec = exec;
+                    spec.ranks = ranks;
+                    spec.initial_weight = weight;
+                    spec.simd = simd;
+                    spec.pipeline = pipe;
+                    spec.sample_seed = seed;
+                    spec.obs = obs;
+                    const std::string name = spec.to_string();
+                    EXPECT_EQ(SimulatorSpec::parse(name), spec) << name;
+                  }
 }
 
 TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
@@ -77,12 +73,11 @@ TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
   EXPECT_EQ(serial.backend, Backend::Serial);
   EXPECT_EQ(serial.exec, Exec::Serial);
 
-  const SimulatorSpec dist = SimulatorSpec::parse("dist:4:pairwise");
+  const SimulatorSpec dist = SimulatorSpec::parse("dist:4");
   EXPECT_EQ(dist.backend, Backend::Dist);
   EXPECT_EQ(dist.ranks, 4);
-  EXPECT_EQ(dist.alltoall, AlltoallStrategy::Pairwise);
   EXPECT_EQ(dist.exec, Exec::Parallel);
-  EXPECT_EQ(dist.to_string(), "dist:4:pairwise");
+  EXPECT_EQ(dist.to_string(), "dist:4");
 
   const SimulatorSpec seeded = SimulatorSpec::parse("u16:seed=9");
   EXPECT_EQ(seeded.backend, Backend::U16);
@@ -94,10 +89,8 @@ TEST(SimulatorSpec, ParsesLegacyAndExtendedSpellings) {
   EXPECT_EQ(mixed.initial_weight, 3);
   EXPECT_EQ(mixed.simd, SimdChoice::Scalar);
 
-  const SimulatorSpec dist_opts =
-      SimulatorSpec::parse("dist:4:pairwise:seed=7");
+  const SimulatorSpec dist_opts = SimulatorSpec::parse("dist:4:seed=7");
   EXPECT_EQ(dist_opts.ranks, 4);
-  EXPECT_EQ(dist_opts.alltoall, AlltoallStrategy::Pairwise);
   EXPECT_EQ(dist_opts.sample_seed, 7u);
 }
 
@@ -113,7 +106,7 @@ TEST(SimulatorSpec, RejectsUnknownTokensNamingThem) {
         Case{"auto:mixer=ring", "mixer=ring"},
         Case{"auto:exec=turbo", "exec=turbo"},
         Case{"auto:seed=x", "seed=x"},
-        Case{"dist:4:pairwise:junk=1", "junk=1"},
+        Case{"dist:4:junk=1", "junk=1"},
         Case{"auto:simd=sse", "simd=sse"}, Case{"dist:two", "two"}}) {
     try {
       (void)SimulatorSpec::parse(c.name);
@@ -255,8 +248,8 @@ TEST(ProblemSession, SweepDoesOnePrecomputeAndZeroSteadyStateAllocations) {
   const Graph g = Graph::random_regular(n, 3, 5);
   const std::vector<QaoaParams> schedules = random_schedules(64, 2, 7);
 
-  for (const char* name : {"serial", "threaded", "u16", "fwht", "dist:2",
-                           "dist:4:pairwise"}) {
+  for (const char* name :
+       {"serial", "threaded", "u16", "fwht", "dist:2", "dist:4"}) {
     SCOPED_TRACE(name);
     std::vector<double> legacy(schedules.size());
     for (std::size_t i = 0; i < schedules.size(); ++i)

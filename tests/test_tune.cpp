@@ -1,9 +1,8 @@
 // Machine-adaptive execution (src/tune/) acceptance tests: the sysfs
 // topology probe against injected fake trees, the closed-form heuristic's
-// determinism, profile JSON persistence (round-trip, atomicity fallback,
-// and every pinned degradation diagnostic), resolve_profile's environment
-// handling, the spec grammar, and — the load-bearing contract — that every
-// tuned configuration (fixture profile, micro-search, first-touch) is
+// determinism, resolve_profile's environment handling, the spec grammar,
+// and — the load-bearing contract — that every tuned configuration (an
+// injected non-default geometry, the heuristic, first-touch) is
 // *bit-identical* to the static oracle (`tune=static` / `QOKIT_TUNE=off`)
 // across backends: tuning reorders traversal, never arithmetic.
 #include <gtest/gtest.h>
@@ -11,7 +10,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "api/qokit.hpp"
 #include "common/aligned.hpp"
@@ -28,7 +29,7 @@ using tune::ProfileSource;
 using tune::TuneMode;
 using tune::TuneProfile;
 
-/// Scratch directory for this binary's fake trees and profile files.
+/// Scratch directory for this binary's fake sysfs trees.
 /// ctest parallelism is across binaries, so a fixed name is race-free.
 fs::path scratch_dir() {
   const fs::path dir = fs::temp_directory_path() / "qokit_test_tune";
@@ -43,7 +44,7 @@ void write_file(const fs::path& path, const std::string& content) {
 }
 
 /// Save/restore one environment variable across a test (the
-/// test_pipeline.cpp idiom, RAII'd because several tests need two vars).
+/// test_pipeline.cpp idiom, RAII'd).
 struct EnvVarGuard {
   explicit EnvVarGuard(std::string name) : name_(std::move(name)) {
     const char* v = std::getenv(name_.c_str());
@@ -85,22 +86,20 @@ QaoaParams test_schedule() {
   return s;
 }
 
-/// `backend:tune=<suffix>` vs `backend:tune=static`: evolved state and
+/// `backend:tune=auto` vs `backend:tune=static`: evolved state and
 /// expectation must agree bitwise.
 void expect_tuned_matches_static(const TermList& terms,
-                                 const std::string& backend,
-                                 const std::string& tune_suffix) {
+                                 const std::string& backend) {
   const auto tuned =
-      make_simulator(terms, SimulatorSpec::parse(backend + ":tune=" +
-                                                 tune_suffix));
+      make_simulator(terms, SimulatorSpec::parse(backend + ":tune=auto"));
   const auto oracle =
       make_simulator(terms, SimulatorSpec::parse(backend + ":tune=static"));
   const QaoaParams sched = test_schedule();
   const StateVector a = tuned->simulate_qaoa(sched.gammas, sched.betas);
   const StateVector b = oracle->simulate_qaoa(sched.gammas, sched.betas);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0) << backend << " tune=" << tune_suffix;
+  EXPECT_EQ(a.max_abs_diff(b), 0.0) << backend;
   EXPECT_EQ(tuned->get_expectation(a), oracle->get_expectation(b))
-      << backend << " tune=" << tune_suffix;
+      << backend;
 }
 
 MachineTopology topo_with(std::uint64_t l1d, std::uint64_t l2,
@@ -209,101 +208,10 @@ TEST(HeuristicProfile, ScalesWithTheCacheHierarchyAndIsDeterministic) {
   EXPECT_EQ(tune::heuristic_profile(topo), tune::heuristic_profile(topo));
 }
 
-TEST(HeuristicProfile, CarriesTheProbedStalenessKeys) {
-  MachineTopology topo = topo_with(32 << 10, 2 << 20);
-  topo.cpu_model = "Fake CPU 9000";
-  topo.simd_level = "avx2";
-  const TuneProfile p = tune::heuristic_profile(topo);
-  EXPECT_EQ(p.cpu_model, "Fake CPU 9000");
-  EXPECT_EQ(p.simd_level, "avx2");
-}
-
-// --------------------------------------------------- profile persistence
-
-TEST(ProfileIo, RoundTripsThroughDiskAndBecomesAFileProfile) {
-  const std::string path = (scratch_dir() / "roundtrip.json").string();
-  TuneProfile p;
-  p.geometry = {14, 4, 9};
-  p.threads = 3;
-  p.numa = NumaPolicy::FirstTouch;
-  p.source = ProfileSource::Search;
-  p.cpu_model = "any";
-  p.simd_level = "any";
-  std::string error;
-  ASSERT_TRUE(tune::save_profile(path, p, &error)) << error;
-
-  TuneProfile loaded;
-  std::string diagnostic;
-  const MachineTopology topo;  // "any" keys match every machine
-  ASSERT_TRUE(tune::load_profile(path, topo, &loaded, &diagnostic))
-      << diagnostic;
-  EXPECT_EQ(loaded.geometry, p.geometry);
-  EXPECT_EQ(loaded.threads, p.threads);
-  EXPECT_EQ(loaded.numa, p.numa);
-  EXPECT_EQ(loaded.source, ProfileSource::File);  // provenance: from disk
-}
-
-TEST(ProfileIo, SaveReportsAnUnwritableDirectory) {
-  std::string error;
-  EXPECT_FALSE(tune::save_profile(
-      (scratch_dir() / "no_such_subdir" / "p.json").string(), TuneProfile{},
-      &error));
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(ProfileIo, EveryDegradationDiagnosticIsPinned) {
-  const MachineTopology topo;
-  TuneProfile out;
-  std::string diag;
-
-  // Missing file.
-  EXPECT_FALSE(tune::load_profile(
-      (scratch_dir() / "never_written.json").string(), topo, &out, &diag));
-  EXPECT_EQ(diag.rfind("missing profile", 0), 0u) << diag;
-
-  // Empty file.
-  const fs::path empty = scratch_dir() / "empty.json";
-  write_file(empty, "");
-  EXPECT_FALSE(tune::load_profile(empty.string(), topo, &out, &diag));
-  EXPECT_EQ(diag.rfind("corrupt profile", 0), 0u) << diag;
-
-  // Wrong schema version.
-  const fs::path wrong = scratch_dir() / "wrong_schema.json";
-  write_file(wrong, "{\n  \"schema\": \"qokit-tune-v0\"\n}\n");
-  EXPECT_FALSE(tune::load_profile(wrong.string(), topo, &out, &diag));
-  EXPECT_EQ(diag.rfind("wrong schema", 0), 0u) << diag;
-
-  // Out-of-range numeric field (tile_log2 = 99).
-  const fs::path corrupt = scratch_dir() / "corrupt.json";
-  write_file(corrupt,
-             "{\n"
-             "  \"schema\": \"qokit-tune-v1\",\n"
-             "  \"cpu_model\": \"any\",\n"
-             "  \"simd_level\": \"any\",\n"
-             "  \"tile_log2\": 99,\n"
-             "  \"group_qubits\": 6,\n"
-             "  \"chunk_log2\": 10,\n"
-             "  \"threads\": 0\n"
-             "}\n");
-  EXPECT_FALSE(tune::load_profile(corrupt.string(), topo, &out, &diag));
-  EXPECT_EQ(diag.rfind("corrupt profile", 0), 0u) << diag;
-
-  // Written on a different machine (staleness keys mismatch).
-  const std::string stale = (scratch_dir() / "stale.json").string();
-  TuneProfile other;
-  other.cpu_model = "Some Other CPU";
-  other.simd_level = "avx512";
-  ASSERT_TRUE(tune::save_profile(stale, other));
-  EXPECT_FALSE(tune::load_profile(stale, topo, &out, &diag));
-  EXPECT_EQ(diag.rfind("stale profile", 0), 0u) << diag;
-}
-
 // ------------------------------------------------------ resolve_profile
 
 TEST(ResolveProfile, EnvOffPinsTheStaticOracle) {
   const EnvVarGuard tune_guard("QOKIT_TUNE");
-  const EnvVarGuard path_guard("QOKIT_TUNE_PATH");
-  ASSERT_EQ(unsetenv("QOKIT_TUNE_PATH"), 0);
   for (const char* off : {"off", "OFF", "static", "0", "false"}) {
     ASSERT_EQ(setenv("QOKIT_TUNE", off, 1), 0);
     EXPECT_EQ(tune::resolve_profile(TuneMode::Auto), tune::static_profile())
@@ -313,73 +221,59 @@ TEST(ResolveProfile, EnvOffPinsTheStaticOracle) {
 
 TEST(ResolveProfile, AutoWithoutEnvResolvesTheHeuristic) {
   const EnvVarGuard tune_guard("QOKIT_TUNE");
-  const EnvVarGuard path_guard("QOKIT_TUNE_PATH");
   ASSERT_EQ(unsetenv("QOKIT_TUNE"), 0);
-  ASSERT_EQ(unsetenv("QOKIT_TUNE_PATH"), 0);
   const TuneProfile p = tune::resolve_profile(TuneMode::Auto);
   EXPECT_EQ(p.source, ProfileSource::Heuristic);
-  EXPECT_EQ(p.geometry,
-            tune::heuristic_profile(tune::probe_machine()).geometry);
-  EXPECT_TRUE(tune::last_resolve_diagnostic().empty())
-      << tune::last_resolve_diagnostic();
-}
-
-TEST(ResolveProfile, EnvPathLoadsTheFileProfile) {
-  const EnvVarGuard tune_guard("QOKIT_TUNE");
-  const EnvVarGuard path_guard("QOKIT_TUNE_PATH");
-  ASSERT_EQ(unsetenv("QOKIT_TUNE"), 0);
-  const std::string path = (scratch_dir() / "env_fixture.json").string();
-  TuneProfile fixture;
-  fixture.geometry = {13, 4, 9};
-  ASSERT_TRUE(tune::save_profile(path, fixture));
-  ASSERT_EQ(setenv("QOKIT_TUNE_PATH", path.c_str(), 1), 0);
-  const TuneProfile p = tune::resolve_profile(TuneMode::Auto);
-  EXPECT_EQ(p.source, ProfileSource::File);
-  EXPECT_EQ(p.geometry, fixture.geometry);
-}
-
-TEST(ResolveProfile, UnusablePathDegradesToTheHeuristicWithADiagnostic) {
-  const std::string missing =
-      (scratch_dir() / "resolve_missing.json").string();
-  const TuneProfile p = tune::resolve_profile(TuneMode::Path, missing);
-  EXPECT_EQ(p.source, ProfileSource::Heuristic);  // kept serving
-  EXPECT_EQ(tune::last_resolve_diagnostic().rfind("missing profile", 0), 0u)
-      << tune::last_resolve_diagnostic();
+  EXPECT_EQ(p, tune::heuristic_profile(tune::probe_machine()));
+  // Static never consults the probe or the environment.
+  EXPECT_EQ(tune::resolve_profile(TuneMode::Static), tune::static_profile());
 }
 
 // ----------------------------------------------------- spec plumbing
 
 TEST(TuneSpec, GrammarRoundTripsAndRejectsBadValues) {
-  EXPECT_EQ(SimulatorSpec::parse("auto").tune, TuneChoice::Auto);
-  EXPECT_EQ(SimulatorSpec::parse("auto:tune=auto").tune, TuneChoice::Auto);
-  EXPECT_EQ(SimulatorSpec::parse("auto:tune=static").tune,
-            TuneChoice::Static);
-  EXPECT_EQ(SimulatorSpec::parse("auto:tune=search").tune,
-            TuneChoice::Search);
+  EXPECT_EQ(SimulatorSpec::parse("auto").tune, TuneMode::Auto);
+  EXPECT_EQ(SimulatorSpec::parse("auto:tune=auto").tune, TuneMode::Auto);
+  EXPECT_EQ(SimulatorSpec::parse("auto:tune=static").tune, TuneMode::Static);
   // "off" is an alias for static and canonicalizes to it.
   const SimulatorSpec off = SimulatorSpec::parse("auto:tune=off");
-  EXPECT_EQ(off.tune, TuneChoice::Static);
+  EXPECT_EQ(off.tune, TuneMode::Static);
   EXPECT_EQ(off.to_string(), "auto:tune=static");
-  // Any other value is a profile path, and round-trips.
-  const SimulatorSpec with_path =
-      SimulatorSpec::parse("u16:tune=/tmp/prof.json");
-  EXPECT_EQ(with_path.tune, TuneChoice::Path);
-  EXPECT_EQ(with_path.tune_path, "/tmp/prof.json");
-  EXPECT_EQ(SimulatorSpec::parse(with_path.to_string()), with_path);
-  EXPECT_THROW(SimulatorSpec::parse("auto:tune="), std::invalid_argument);
+  EXPECT_EQ(SimulatorSpec::parse(off.to_string()), off);
+  // Spellings outside the grammar (a search mode, profile file paths,
+  // alltoall transport names) are unrecognized tokens, and the error
+  // names them.
+  struct Case {
+    const char* name;
+    const char* offending;
+  };
+  for (const Case c :
+       {Case{"auto:tune=", "tune="}, Case{"auto:tune=search", "tune=search"},
+        Case{"u16:tune=/tmp/prof.json", "tune=/tmp/prof.json"},
+        Case{"auto:tune=/nonexistent.json", "tune=/nonexistent.json"},
+        Case{"dist:4:staged", "staged"}, Case{"dist:4:pairwise", "pairwise"},
+        Case{"dist:4:direct", "direct"},
+        Case{"dist:4:alltoall=pairwise", "alltoall=pairwise"},
+        Case{"auto:alltoall=staged", "alltoall=staged"}}) {
+    try {
+      (void)SimulatorSpec::parse(c.name);
+      ADD_FAILURE() << "parse accepted '" << c.name << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.offending), std::string::npos)
+          << c.name << " -> " << e.what();
+    }
+  }
 }
 
-TEST(TuneSpec, FixtureProfileGeometryReachesTheSimulatorConfig) {
-  const std::string path = (scratch_dir() / "spec_fixture.json").string();
-  TuneProfile fixture;
-  fixture.geometry = {12, 3, 8};
-  ASSERT_TRUE(tune::save_profile(path, fixture));
+TEST(TuneSpec, ResolvedGeometryReachesTheSimulatorConfig) {
+  const EnvVarGuard tune_guard("QOKIT_TUNE");
+  ASSERT_EQ(unsetenv("QOKIT_TUNE"), 0);
   const TermList terms = sk_terms(8, 7);
-  const auto sim =
-      make_simulator(terms, SimulatorSpec::parse("auto:tune=" + path));
-  const auto* fur = dynamic_cast<const FurQaoaSimulator*>(sim.get());
-  ASSERT_NE(fur, nullptr);
-  EXPECT_EQ(fur->config().pipeline.geometry, (pipeline::Geometry{12, 3, 8}));
+  const auto tuned = make_simulator(terms, SimulatorSpec::parse("auto"));
+  const auto* tuned_fur = dynamic_cast<const FurQaoaSimulator*>(tuned.get());
+  ASSERT_NE(tuned_fur, nullptr);
+  EXPECT_EQ(tuned_fur->config().pipeline.geometry,
+            tune::resolve_profile(TuneMode::Auto).geometry);
   // tune=static pins the pre-tune constants.
   const auto pinned =
       make_simulator(terms, SimulatorSpec::parse("auto:tune=static"));
@@ -392,26 +286,65 @@ TEST(TuneSpec, FixtureProfileGeometryReachesTheSimulatorConfig) {
 
 // --------------------------------------------------- the identity oracle
 
-TEST(TuneIdentity, FixtureProfileIsBitIdenticalToStaticOnEveryBackend) {
-  const std::string path = (scratch_dir() / "identity_fixture.json").string();
-  TuneProfile fixture;
-  fixture.geometry = {12, 3, 8};  // deliberately unlike the defaults
-  ASSERT_TRUE(tune::save_profile(path, fixture));
+/// The backend spelled by `spec`, built directly with pipeline geometry
+/// `geometry` and amplitude precision `prec` (the injection point a tune
+/// profile uses inside make_simulator).
+std::unique_ptr<QaoaFastSimulatorBase> with_geometry(
+    const TermList& terms, const SimulatorSpec& spec,
+    pipeline::Geometry geometry, Precision prec) {
+  if (spec.backend == Backend::Dist)
+    return std::make_unique<DistributedFurSimulator>(
+        terms, DistConfig{.ranks = spec.ranks,
+                          .pipeline = {.geometry = geometry},
+                          .prec = prec});
+  FurConfig cfg;
+  cfg.exec = spec.exec;
+  cfg.use_u16 = spec.backend == Backend::U16;
+  if (spec.backend == Backend::Fwht) cfg.backend = MixerBackend::Fwht;
+  cfg.pipeline.geometry = geometry;
+  cfg.prec = prec;
+  return std::make_unique<FurQaoaSimulator>(terms, cfg);
+}
+
+TEST(TuneIdentity, InjectedGeometryIsBitIdenticalToStaticOnEveryBackend) {
+  // {12, 3, 8} is deliberately unlike the defaults; the n = 14 problem is
+  // wider than the 2^12 tile, so the strided group passes run too.
+  const pipeline::Geometry geometry{12, 3, 8};
+  std::vector<TermList> problems;
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     int n = 0;
-    const TermList terms = random_problem(seed, &n);
+    problems.push_back(random_problem(seed, &n));
+  }
+  problems.push_back(sk_terms(14, 5));
+  const QaoaParams sched = test_schedule();
+  for (const TermList& terms : problems)
     for (const char* backend :
          {"serial", "threaded", "auto:exec=serial", "u16", "fwht",
           "u16:exec=serial", "dist:2"})
-      expect_tuned_matches_static(terms, backend, path);
-  }
+      for (const Precision prec : {Precision::F64, Precision::F32}) {
+        const std::string oracle_spec =
+            std::string(backend) + ":tune=static:prec=" +
+            (prec == Precision::F32 ? "f32" : "f64");
+        const auto oracle =
+            make_simulator(terms, SimulatorSpec::parse(oracle_spec));
+        const auto tuned = with_geometry(
+            terms, SimulatorSpec::parse(backend), geometry, prec);
+        const StateVector a = tuned->simulate_qaoa(sched.gammas, sched.betas);
+        const StateVector b =
+            oracle->simulate_qaoa(sched.gammas, sched.betas);
+        EXPECT_EQ(a.max_abs_diff(b), 0.0) << oracle_spec;
+        EXPECT_EQ(tuned->get_expectation(a), oracle->get_expectation(b))
+            << oracle_spec;
+      }
 }
 
-TEST(TuneIdentity, MicroSearchIsBitIdenticalToStatic) {
+TEST(TuneIdentity, HeuristicIsBitIdenticalToStatic) {
+  const EnvVarGuard tune_guard("QOKIT_TUNE");
+  ASSERT_EQ(unsetenv("QOKIT_TUNE"), 0);
   int n = 0;
   const TermList terms = random_problem(4, &n);
-  for (const char* backend : {"auto", "u16", "fwht"})
-    expect_tuned_matches_static(terms, backend, "search");
+  for (const char* backend : {"auto", "u16", "fwht", "dist:2"})
+    expect_tuned_matches_static(terms, backend);
 }
 
 TEST(TuneIdentity, FirstTouchPlacementIsBitIdentical) {
