@@ -2,7 +2,7 @@
 // number of QAOA layers p, LABS problem.
 //
 // Series mapping (paper -> ours):
-//   QOKit + GPU precompute -> FurParallelPrecompute (OpenMP element-major)
+//   QOKit + GPU precompute -> FurParallelPrecompute (OpenMP blocked transform)
 //   QOKit + CPU precompute -> FurSerialPrecompute   (single-thread)
 //   cuStateVec (gates)     -> Gates                 (no precompute at all)
 //
@@ -44,9 +44,7 @@ void BM_Fig4_FurSerialPrecompute(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto [g, b] = ramp(p);
   for (auto _ : state) {
-    const FurQaoaSimulator sim(
-        labs_terms(kN),
-        {.exec = Exec::Serial, .precompute = PrecomputeStrategy::ElementMajor});
+    const FurQaoaSimulator sim(labs_terms(kN), {.exec = Exec::Serial});
     const StateVector r = sim.simulate_qaoa(g, b);
     benchmark::DoNotOptimize(sim.get_expectation(r));
   }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -35,8 +36,61 @@ CostDiagonal::Cache& CostDiagonal::cache() const {
   return *cache_;
 }
 
-CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec,
-                                      PrecomputeStrategy strategy) {
+namespace {
+
+/// log2 of the transform block: 2^12 doubles = 32 KiB, one L1d. A constant,
+/// not a knob: it fixes the summation order, which every caller shares.
+constexpr int kBlockLog2 = 12;
+
+/// f over the 2^l block with high index bits `b`, in place: scatter each
+/// term into its low-mask slot, signed by its high mask's parity against b,
+/// then l unnormalized Walsh-Hadamard butterfly passes.
+void transform_block(const TermList& terms, std::uint64_t b, int l,
+                     double* blk) {
+  const std::uint64_t width = dim_of(l);
+  std::fill(blk, blk + width, 0.0);
+  for (const Term& t : terms)
+    blk[t.mask & (width - 1)] += t.weight * parity_sign(b, t.mask >> l);
+  for (std::uint64_t h = 1; h < width; h <<= 1)
+    for (std::uint64_t i = 0; i < width; i += 2 * h)
+      for (std::uint64_t j = i; j < i + h; ++j) {
+        const double lo = blk[j];
+        const double hi = blk[j + h];
+        blk[j] = lo + hi;
+        blk[j + h] = lo - hi;
+      }
+}
+
+}  // namespace
+
+void fill_cost_diagonal(const TermList& terms, std::uint64_t begin,
+                        std::uint64_t end, double* out, Exec exec) {
+  for (std::size_t k = 0; k < terms.size(); ++k)
+    if (!std::isfinite(terms[k].weight))
+      throw std::invalid_argument("fill_cost_diagonal: term " +
+                                  std::to_string(k) + " has non-finite weight");
+  if (end <= begin) return;
+  const int l = std::min(terms.num_qubits(), kBlockLog2);
+  const std::uint64_t width = dim_of(l);
+  const std::uint64_t first = (begin >> l) << l;
+  // One block per task, schedule(static): each output is written by the
+  // thread that owns its block, the paper's element-owned locality.
+  parallel_for_blocks(
+      exec, static_cast<std::int64_t>(end - first),
+      static_cast<std::int64_t>(width), [&](std::int64_t lo, std::int64_t) {
+        const std::uint64_t x0 = first + static_cast<std::uint64_t>(lo);
+        if (x0 >= begin && x0 + width <= end)
+          return transform_block(terms, x0 >> l, l, out + (x0 - begin));
+        aligned_vector<double> blk(width);
+        transform_block(terms, x0 >> l, l, blk.data());
+        const std::uint64_t from = std::max(x0, begin);
+        const std::uint64_t to = std::min(x0 + width, end);
+        std::copy(blk.begin() + (from - x0), blk.begin() + (to - x0),
+                  out + (from - begin));
+      });
+}
+
+CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec) {
   static const obs::Counter precomputes =
       obs::counter("qokit_precomputes_total");
   static const obs::Histogram precompute_hist =
@@ -48,32 +102,8 @@ CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec,
   span.attr("terms", static_cast<std::int64_t>(terms.size()));
   CostDiagonal d;
   d.n_ = terms.num_qubits();
-  const std::int64_t dim = static_cast<std::int64_t>(dim_of(d.n_));
-  d.values_.assign(dim, 0.0);
-  double* out = d.values_.data();
-  const Term* ts = terms.terms().data();
-  const std::size_t nt = terms.size();
-
-  if (strategy == PrecomputeStrategy::ElementMajor) {
-    // One thread owns one output element: the GPU-kernel layout of the
-    // paper, and the layout reused verbatim for distributed slices.
-    parallel_for(exec, 0, dim, [&](std::int64_t x) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < nt; ++k)
-        acc += ts[k].weight * parity_sign(static_cast<std::uint64_t>(x),
-                                          ts[k].mask);
-      out[x] = acc;
-    });
-  } else {
-    // Term-major ablation: stream the whole vector once per term.
-    for (std::size_t k = 0; k < nt; ++k) {
-      const double w = ts[k].weight;
-      const std::uint64_t mask = ts[k].mask;
-      parallel_for(exec, 0, dim, [&](std::int64_t x) {
-        out[x] += w * parity_sign(static_cast<std::uint64_t>(x), mask);
-      });
-    }
-  }
+  d.values_.resize(dim_of(d.n_));
+  fill_cost_diagonal(terms, 0, d.values_.size(), d.values_.data(), exec);
   return d;
 }
 

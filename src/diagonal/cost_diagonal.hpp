@@ -6,6 +6,10 @@
 // (2) every objective evaluation, which becomes one inner product. This is
 // the paper's central optimization: it removes the |T|-dependent per-layer
 // gate cost that dominates gate-based simulators at high depth.
+//
+// The precompute is the unnormalized Walsh-Hadamard transform of the term
+// weights, f(x) = sum_m w_m (-1)^{popcount(x & m)}, in cache-resident blocks
+// (DESIGN.md "Diagonal precompute"); one kernel serves every backend.
 #pragma once
 
 #include <cstdint>
@@ -18,25 +22,24 @@
 
 namespace qokit {
 
-/// Loop ordering of the precompute kernel.
-///
-/// ElementMajor parallelizes over the 2^n vector elements with the term loop
-/// inside — each element is written once, by one thread (the locality the
-/// paper exploits on GPUs and across nodes). TermMajor loops terms outside
-/// and streams the vector inside; it is provided as an ablation.
-enum class PrecomputeStrategy { ElementMajor, TermMajor };
+/// Write f(x) for x in [begin, end) into out[0, end - begin), over the
+/// 2^L-aligned blocks (L = min(n, 12)) the range overlaps. Each output
+/// depends only on its block, so any slicing and either Exec give the same
+/// bits: exact for integer/dyadic weights, else within ~n ulp * sum|w| of
+/// TermList::evaluate. Throws std::invalid_argument naming a non-finite
+/// weight's term index.
+void fill_cost_diagonal(const TermList& terms, std::uint64_t begin,
+                        std::uint64_t end, double* out,
+                        Exec exec = Exec::Parallel);
 
 /// The 2^n cost vector c_x = f(x).
 class CostDiagonal {
  public:
   CostDiagonal();
 
-  /// Precompute from polynomial terms (Eq. 1). Each element is a sum of
-  /// weight * (-1)^{popcount(x & mask)} over terms — the bitwise-XOR /
-  /// population-count kernel of Sec. III-A.
-  static CostDiagonal precompute(
-      const TermList& terms, Exec exec = Exec::Parallel,
-      PrecomputeStrategy strategy = PrecomputeStrategy::ElementMajor);
+  /// Precompute from polynomial terms (Eq. 1) with fill_cost_diagonal().
+  static CostDiagonal precompute(const TermList& terms,
+                                 Exec exec = Exec::Parallel);
 
   /// Precompute from an arbitrary callable f(x) (the Python-lambda input
   /// path of QOKit's high-level API).

@@ -1,6 +1,5 @@
 #include "diagonal/ops.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
@@ -11,6 +10,13 @@ namespace {
 
 void check_dims(std::uint64_t a, std::uint64_t b, const char* what) {
   if (a != b) throw std::invalid_argument(std::string(what) + ": size mismatch");
+}
+
+/// |a|^2 accumulated in double at either amplitude width.
+template <class T>
+double norm2(const std::complex<T>& a) {
+  const double re = a.real(), im = a.imag();
+  return re * re + im * im;
 }
 
 }  // namespace
@@ -87,36 +93,23 @@ double expectation_terms(const StateVector& sv, const TermList& terms,
                          Exec exec) {
   if (terms.num_qubits() != sv.num_qubits())
     throw std::invalid_argument("expectation_terms: qubit-count mismatch");
-  double total = terms.offset();  // constant term, <1> = norm = 1
-  if (sv.precision() == Precision::F32) {
-    const cfloat* amp = sv.data_f32();
+  const auto sum = [&](const auto* amp) {
+    double total = terms.offset();  // constant term, <1> = norm = 1
     for (const Term& t : terms) {
       if (t.mask == 0) continue;
       const std::uint64_t mask = t.mask;
       const double z = parallel_reduce_sum(
           exec, 0, static_cast<std::int64_t>(sv.size()),
           [amp, mask](std::int64_t i) {
-            const double re = amp[i].real(), im = amp[i].imag();
-            return (re * re + im * im) *
+            return norm2(amp[i]) *
                    parity_sign(static_cast<std::uint64_t>(i), mask);
           });
       total += t.weight * z;
     }
     return total;
-  }
-  const cdouble* amp = sv.data();
-  for (const Term& t : terms) {
-    if (t.mask == 0) continue;
-    const std::uint64_t mask = t.mask;
-    const double z = parallel_reduce_sum(
-        exec, 0, static_cast<std::int64_t>(sv.size()),
-        [amp, mask](std::int64_t i) {
-          return std::norm(amp[i]) *
-                 parity_sign(static_cast<std::uint64_t>(i), mask);
-        });
-    total += t.weight * z;
-  }
-  return total;
+  };
+  return sv.precision() == Precision::F32 ? sum(sv.data_f32())
+                                          : sum(sv.data());
 }
 
 double overlap_ground(const StateVector& sv, const CostDiagonal& diag,
@@ -143,32 +136,20 @@ double overlap_ground_sector(const StateVector& sv, const CostDiagonal& diag,
   // Block-ordered reduction (not an OpenMP reduction) so the result is
   // independent of thread count, matching the simd-layer determinism
   // contract the other overlap/expectation paths follow.
-  if (sv.precision() == Precision::F32) {
-    const cfloat* amp = sv.data_f32();
+  const auto reduce = [&](const auto* amp) {
     return parallel_reduce_blocks(
         exec, static_cast<std::int64_t>(sv.size()), kSimdBlock,
         [amp, c, weight, threshold](std::int64_t b, std::int64_t e) {
           double acc = 0.0;
           for (std::int64_t i = b; i < e; ++i)
             if (popcount(static_cast<std::uint64_t>(i)) == weight &&
-                c[i] <= threshold) {
-              const double re = amp[i].real(), im = amp[i].imag();
-              acc += re * re + im * im;
-            }
+                c[i] <= threshold)
+              acc += norm2(amp[i]);
           return acc;
         });
-  }
-  const cdouble* amp = sv.data();
-  return parallel_reduce_blocks(
-      exec, static_cast<std::int64_t>(sv.size()), kSimdBlock,
-      [amp, c, weight, threshold](std::int64_t b, std::int64_t e) {
-        double acc = 0.0;
-        for (std::int64_t i = b; i < e; ++i)
-          if (popcount(static_cast<std::uint64_t>(i)) == weight &&
-              c[i] <= threshold)
-            acc += std::norm(amp[i]);
-        return acc;
-      });
+  };
+  return sv.precision() == Precision::F32 ? reduce(sv.data_f32())
+                                          : reduce(sv.data());
 }
 
 }  // namespace qokit

@@ -87,20 +87,18 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
         "DistributedFurSimulator: " + std::to_string(cfg.ranks) +
         " ranks need at least " + std::to_string(2 * log2_ranks_) +
         " qubits (2*log2 K), got " + std::to_string(n));
-  // Distributed diagonal precompute: each rank fills its own slice, the
-  // element-major kernel the paper runs once per problem on every
-  // GPU/rank. Identical term order to CostDiagonal::precompute, so the
-  // result is bit-identical to the single-node diagonal.
+  // Distributed diagonal precompute: each rank fills its own slice with the
+  // blocked transform, whose outputs depend on their block and not on the
+  // slicing, so the result is bit-identical to the single-node diagonal.
   obs::Span span("precompute");
   span.attr("n", n);
   span.attr("ranks", cfg_.ranks);
   aligned_vector<double> values(dim_of(n));
-  double* out = values.data();
   const std::uint64_t local = values.size() >> log2_ranks_;
   world_.run([&](Communicator& comm) {
     const std::uint64_t base = static_cast<std::uint64_t>(comm.rank()) * local;
-    for (std::uint64_t i = 0; i < local; ++i)
-      out[base + i] = terms.evaluate(base + i);
+    fill_cost_diagonal(terms, base, base + local, values.data() + base,
+                       Exec::Serial);
   });
   diag_ = CostDiagonal::from_values(n, std::move(values));
   // Each rank's per-layer work is phase + X mixer on a 2^(n - g) slice:

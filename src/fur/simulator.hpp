@@ -29,7 +29,6 @@ struct FurConfig {
   MixerBackend backend = MixerBackend::Fused;  ///< X-mixer implementation
   bool use_u16 = false;             ///< store/apply the uint16 diagonal
   int initial_weight = -1;          ///< Dicke weight for xy mixers; -1 = n/2
-  PrecomputeStrategy precompute = PrecomputeStrategy::ElementMajor;
   /// Cache-blocked fused layer execution (src/pipeline/): on by default
   /// for X-mixer layers, bit-identical to the unfused loop, which remains
   /// selectable as the oracle via mode = Off or QOKIT_PIPELINE=off.

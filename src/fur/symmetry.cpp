@@ -43,20 +43,9 @@ SymmetricFurSimulator::SymmetricFurSimulator(const TermList& terms, Exec exec)
         "SymmetricFurSimulator: cost function is not spin-flip symmetric");
   if (n_ < 2)
     throw std::invalid_argument("SymmetricFurSimulator: need n >= 2");
-  // Precompute only the representative half of the diagonal.
-  const Term* ts = terms.terms().data();
-  const std::size_t nt = terms.size();
-  aligned_vector<double> values(dim_of(n_ - 1), 0.0);
-  double* out = values.data();
-  parallel_for(exec, 0, static_cast<std::int64_t>(values.size()),
-               [out, ts, nt](std::int64_t x) {
-                 double acc = 0.0;
-                 for (std::size_t k = 0; k < nt; ++k)
-                   acc += ts[k].weight *
-                          parity_sign(static_cast<std::uint64_t>(x),
-                                      ts[k].mask);
-                 out[x] = acc;
-               });
+  // Representative half only: bit for bit the full diagonal's first half.
+  aligned_vector<double> values(dim_of(n_ - 1));
+  fill_cost_diagonal(terms, 0, values.size(), values.data(), exec);
   half_diag_ = CostDiagonal::from_values(n_ - 1, std::move(values));
 }
 

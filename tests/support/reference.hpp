@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/bitops.hpp"
+#include "common/rng.hpp"
 #include "statevector/state.hpp"
 #include "terms/term.hpp"
 
@@ -138,6 +139,18 @@ inline double ref_expectation(const Vec& v, const TermList& terms) {
   for (std::uint64_t x = 0; x < v.size(); ++x)
     acc += std::norm(v[x]) * terms.evaluate(x);
   return acc;
+}
+
+/// `count` terms with random masks (any order, the constant included) and
+/// non-dyadic random weights, so partial sums round: the input on which a
+/// change of summation order shows in the last bits.
+inline TermList random_terms(int n, int count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Term> terms;
+  for (int k = 0; k < count; ++k)
+    terms.push_back({rng.uniform(-1.0, 1.0) / 3.0,
+                     rng.next_u64() & (dim_of(n) - 1)});
+  return TermList(n, std::move(terms));
 }
 
 }  // namespace qokit::testing

@@ -2,53 +2,127 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/bitops.hpp"
 #include "diagonal/ops.hpp"
+#include "fur/symmetry.hpp"
 #include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/portfolio.hpp"
 #include "problems/sat.hpp"
+#include "problems/sk.hpp"
 #include "support/reference.hpp"
 
 namespace qokit {
 namespace {
 
-/// Every (problem, strategy, exec) combination must reproduce f(x) exactly.
+/// Every (problem, n, exec) combination must reproduce f(x). The n sweep
+/// spans the transform's 2^12 block: whole-vector blocks (n <= 12) and
+/// several blocks (n = 13, 16).
+const int kSweepN[] = {1, 5, 11, 12, 13, 16};
+
 struct PrecomputeCase {
   const char* name;
   TermList terms;
 };
 
-std::vector<PrecomputeCase> precompute_cases() {
-  std::vector<PrecomputeCase> cases;
-  cases.push_back({"maxcut", maxcut_terms(Graph::random_regular(10, 3, 1))});
-  cases.push_back({"labs", labs_terms(9)});
-  cases.push_back({"sat", sat_terms(random_ksat(8, 3, 20, 2))});
-  cases.push_back({"portfolio", portfolio_terms(random_portfolio(7, 3, 0.5, 3))});
-  return cases;
+PrecomputeCase precompute_case(int idx, int n) {
+  switch (idx) {
+    case 0:
+      return {"maxcut", maxcut_terms(Graph::erdos_renyi(n, 0.5, 1))};
+    case 1:
+      return {"labs", labs_terms(n)};
+    case 2:
+      return {"sat", sat_terms(random_ksat(n, std::min(n, 3), 2 * n, 2))};
+    case 3:
+      return {"portfolio",
+              portfolio_terms(random_portfolio(n, n / 2, 0.5, 3))};
+    default:
+      return {"random", testing::random_terms(n, 60, 4)};
+  }
 }
 
 class PrecomputeTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(PrecomputeTest, MatchesBruteForceEvaluation) {
-  const auto [case_idx, strat_idx, exec_idx] = GetParam();
-  const auto cases = precompute_cases();
-  const TermList& terms = cases[case_idx].terms;
-  const auto strategy = strat_idx == 0 ? PrecomputeStrategy::ElementMajor
-                                       : PrecomputeStrategy::TermMajor;
+  const auto [case_idx, n_idx, exec_idx] = GetParam();
+  const auto [name, terms] = precompute_case(case_idx, kSweepN[n_idx]);
   const auto exec = exec_idx == 0 ? Exec::Serial : Exec::Parallel;
-  const CostDiagonal d = CostDiagonal::precompute(terms, exec, strategy);
+  const CostDiagonal d = CostDiagonal::precompute(terms, exec);
   ASSERT_EQ(d.size(), dim_of(terms.num_qubits()));
+  // Integer and dyadic weights sum exactly in any order; the rest differ
+  // from the per-element sum by rounding only.
+  const double tol = 1e-13 * (terms.weight_l1() + std::abs(terms.offset()));
   for (std::uint64_t x = 0; x < d.size(); ++x)
-    ASSERT_NEAR(d[x], terms.evaluate(x), 1e-9)
-        << cases[case_idx].name << " x=" << x;
+    ASSERT_NEAR(d[x], terms.evaluate(x), tol) << name << " x=" << x;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombos, PrecomputeTest,
-                         ::testing::Combine(::testing::Range(0, 4),
-                                            ::testing::Range(0, 2),
+                         ::testing::Combine(::testing::Range(0, 5),
+                                            ::testing::Range(0, 6),
                                             ::testing::Range(0, 2)));
+
+TEST(CostDiagonal, SerialEqualsParallelBitwise) {
+  for (int n : kSweepN)
+    for (int idx = 0; idx < 5; ++idx) {
+      const TermList terms = precompute_case(idx, n).terms;
+      EXPECT_EQ(CostDiagonal::precompute(terms, Exec::Serial).values(),
+                CostDiagonal::precompute(terms, Exec::Parallel).values())
+          << "case " << idx << " n=" << n;
+    }
+}
+
+TEST(CostDiagonal, LabsEqualsEnergyExactly) {
+  for (int n = 1; n <= 16; ++n) {
+    const CostDiagonal d = CostDiagonal::precompute(labs_terms(n));
+    for (std::uint64_t x = 0; x < d.size(); ++x)
+      ASSERT_EQ(d[x], labs_energy(x, n)) << "n=" << n << " x=" << x;
+  }
+}
+
+TEST(CostDiagonal, SymmetricHalfIsFirstHalfBitwise) {
+  for (int n : {2, 12, 13, 16}) {
+    const TermList terms = sk_terms(n, 11);
+    const CostDiagonal full = CostDiagonal::precompute(terms);
+    const SymmetricFurSimulator sym(terms);
+    const CostDiagonal& half = sym.half_diagonal();
+    ASSERT_EQ(half.size() * 2, full.size());
+    for (std::uint64_t x = 0; x < half.size(); ++x)
+      ASSERT_EQ(half[x], full[x]) << "n=" << n << " x=" << x;
+  }
+}
+
+TEST(CostDiagonal, FillAnySliceMatchesWholeVectorBitwise) {
+  // Slices that start or end mid-block compute the block aside and copy.
+  const TermList terms = testing::random_terms(14, 80, 5);
+  const CostDiagonal full = CostDiagonal::precompute(terms);
+  const std::uint64_t cuts[][2] = {{0, 1}, {3, 4099}, {4096, 8192},
+                                   {5000, 16384}, {16383, 16384}};
+  for (const auto& [begin, end] : cuts) {
+    std::vector<double> out(end - begin);
+    fill_cost_diagonal(terms, begin, end, out.data(), Exec::Parallel);
+    for (std::uint64_t x = begin; x < end; ++x)
+      ASSERT_EQ(out[x - begin], full[x]) << "[" << begin << "," << end << ")";
+  }
+}
+
+TEST(CostDiagonal, RejectsNonFiniteWeightNamingTheTerm) {
+  for (const double bad : {std::nan(""), -HUGE_VAL}) {
+    const TermList terms(4, {{1.0, 0b11}, {bad, 0b1}});
+    try {
+      CostDiagonal::precompute(terms);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("term 1"), std::string::npos)
+          << e.what();
+    }
+  }
+}
 
 TEST(CostDiagonal, FromFunctionMatchesCallable) {
   const auto f = [](std::uint64_t x) { return static_cast<double>(x % 7); };

@@ -9,6 +9,7 @@
 #include "fur/mixers.hpp"
 #include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
+#include "support/reference.hpp"
 
 namespace qokit {
 namespace {
@@ -135,11 +136,15 @@ INSTANTIATE_TEST_SUITE_P(Ranks, DistSimulatorTest,
                          ::testing::Values(1, 2, 4, 8));
 
 TEST(DistSimulator, PrecomputedDiagonalMatchesSingleNode) {
-  const TermList terms = labs_terms(8);
-  const DistributedFurSimulator sim(terms, {.ranks = 4});
+  // Non-dyadic weights, so any change of summation order would show. At
+  // n = 14 the 2^12-amplitude transform blocks are whole per rank for
+  // K <= 4 and split across ranks for K >= 8.
+  const TermList terms = testing::random_terms(14, 120, 21);
   const CostDiagonal ref = CostDiagonal::precompute(terms);
-  for (std::uint64_t x = 0; x < ref.size(); ++x)
-    EXPECT_NEAR(sim.get_cost_diagonal()[x], ref[x], 1e-12);
+  for (const int k : {1, 2, 4, 8, 16}) {
+    const DistributedFurSimulator sim(terms, {.ranks = k});
+    EXPECT_EQ(sim.get_cost_diagonal().values(), ref.values()) << "K=" << k;
+  }
 }
 
 TEST(DistSimulator, RejectsTooManyRanks) {

@@ -7,6 +7,7 @@
 // every backend, including dist:K.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "api/qokit.hpp"
@@ -436,6 +437,23 @@ TEST(ProblemSession, PortfolioBuilderDefaultsToInSectorXyMixer) {
   // The evolved state never leaves the budget sector.
   EXPECT_NEAR(session.simulate(params).weight_sector_mass(inst.budget), 1.0,
               1e-10);
+}
+
+TEST(ProblemSession, RejectsNonFiniteTermWeightsOnEveryBackend) {
+  // A non-finite weight would poison whole transform blocks with NaN;
+  // building the session must fail instead, naming the term.
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    const TermList terms(6, {{1.0, 0b11}, {0.5, 0b110}, {bad, 0b1001}});
+    for (const char* spec : {"auto", "serial", "u16", "gatesim", "dist:2"}) {
+      try {
+        api::ProblemSession session(terms, SimulatorSpec::parse(spec));
+        FAIL() << spec << ": expected std::invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("term 2"), std::string::npos)
+            << spec << ": " << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace
