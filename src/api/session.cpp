@@ -8,7 +8,6 @@
 #include "problems/labs.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/sk.hpp"
-#include "statevector/sampling.hpp"
 
 namespace qokit::api {
 namespace {
@@ -49,6 +48,7 @@ BatchOptions batch_options_for(const EvalRequest& request,
   opts.overlap_weight = request.overlap_weight;
   opts.sample_shots = request.shots;
   opts.sample_seed = sample_seed;
+  opts.record_timings = request.timings;
   return opts;
 }
 
@@ -90,16 +90,10 @@ ProblemSession ProblemSession::sk(int n, std::uint64_t seed,
 
 EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
                                     const EvalRequest& request) const {
-  if (request.shots < 0)
-    throw std::invalid_argument("EvalRequest: shots must be >= 0");
   const detail::ReentrancyGuard::Scope scope(guard_,
                                              "ProblemSession::evaluate");
   static const obs::Counter evaluates =
       obs::counter("qokit_evaluates_total");
-  static const obs::Histogram layer_hist =
-      obs::histogram("qokit_layer_ns");
-  static const obs::Histogram reduce_hist =
-      obs::histogram("qokit_reduce_ns");
   evaluates.add();
   obs::Span span("evaluate");
   span.attr("n", num_qubits());
@@ -107,78 +101,22 @@ EvalResult ProblemSession::evaluate(const QaoaParams& schedule,
   span.attr("backend", qokit::to_string(spec_.backend).data());
   span.attr("prec_bits",
             static_cast<std::int64_t>(precision_bits(sim_->precision())));
-  EvalResult out;
-  const steady::time_point t0 = steady::now();
-  // Refill the reused scratch slot from the cached initial state (a
-  // copy-assign that reuses its buffer) and evolve in place -- the exact
-  // arithmetic of a fresh simulator's simulate_qaoa, without its
-  // allocations.
-  scratch_ = evaluator_.initial_state();
-  std::vector<std::uint64_t> layer_ns;
-  if (request.timings) {
-    // Evolve layer by layer so the per-layer breakdown can be recorded.
-    // Chaining p one-layer simulate_qaoa_from calls performs exactly the
-    // arithmetic of the single p-layer call (the state is moved through),
-    // so timed and untimed evaluations stay bit-identical. The one-layer
-    // slices always match pairwise, so the whole-schedule length check
-    // must happen here (the untimed path gets it from the simulator).
-    if (schedule.gammas.size() != schedule.betas.size())
-      throw std::invalid_argument(
-          "simulate_qaoa: gammas/betas length mismatch");
-    const std::span<const double> gammas(schedule.gammas);
-    const std::span<const double> betas(schedule.betas);
-    layer_ns.reserve(gammas.size());
-    for (std::size_t l = 0; l < gammas.size(); ++l) {
-      obs::Span lspan("layer");
-      lspan.attr("layer", static_cast<std::int64_t>(l));
-      const steady::time_point tl = steady::now();
-      scratch_ = sim_->simulate_qaoa_from(
-          std::move(scratch_), gammas.subspan(l, 1), betas.subspan(l, 1));
-      layer_ns.push_back(elapsed_ns(tl));
-      layer_hist.record(layer_ns.back());
-    }
-  } else if (request.expectation) {
-    // Fused simulate+reduce: FurQaoaSimulator folds the expectation into
-    // the final layer's last pipeline pass (skipping one full read of the
-    // state); other backends run the two-pass default. Bit-identical to
-    // simulate_qaoa_from + get_expectation either way, and the evolved
-    // state stays in scratch_ for overlap/sampling below. The timed path
-    // keeps the explicit two-pass split so layer timings stay pure
-    // simulation.
-    out.expectation = sim_->simulate_qaoa_expectation(
-        scratch_, schedule.gammas, schedule.betas);
-  } else {
-    scratch_ = sim_->simulate_qaoa_from(std::move(scratch_), schedule.gammas,
-                                        schedule.betas);
-  }
-  const std::uint64_t simulate_ns = elapsed_ns(t0);
-  const steady::time_point t1 = steady::now();
-  {
-    obs::Span rspan("reduce");
-    if (request.expectation && !out.expectation.has_value())
-      out.expectation = sim_->get_expectation(scratch_);
-    if (request.overlap)
-      out.overlap = sim_->get_overlap(scratch_, request.overlap_weight);
-    if (request.shots > 0)
-      out.samples = StateSampler(scratch_).sample(request.shots,
-                                                  spec_.sample_seed);
-  }
-  const std::uint64_t reduce_ns = elapsed_ns(t1);
-  reduce_hist.record(reduce_ns);
-  if (request.timings)
-    out.timings = Timings{precompute_ns_, simulate_ns, reduce_ns,
-                          std::move(layer_ns)};
-  return out;
+  return std::move(run({&schedule, 1}, request).front());
 }
 
 std::vector<EvalResult> ProblemSession::evaluate_batch(
     std::span<const QaoaParams> schedules, const EvalRequest& request) const {
   const detail::ReentrancyGuard::Scope scope(
       guard_, "ProblemSession::evaluate_batch");
-  BatchOptions opts = batch_options_for(request, spec_.sample_seed);
-  opts.record_timings = request.timings;
+  return run(schedules, request);
+}
+
+std::vector<EvalResult> ProblemSession::run(
+    std::span<const QaoaParams> schedules, const EvalRequest& request) const {
   const steady::time_point t0 = steady::now();
-  evaluator_.evaluate_into(schedules, opts, batch_scratch_);
+  evaluator_.evaluate_into(schedules,
+                           batch_options_for(request, spec_.sample_seed),
+                           batch_scratch_);
   const std::uint64_t batch_ns = elapsed_ns(t0);
   std::vector<EvalResult> out(schedules.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -187,17 +125,9 @@ std::vector<EvalResult> ProblemSession::evaluate_batch(
     if (request.overlap) out[i].overlap = batch_scratch_.overlaps[i];
     if (request.shots > 0)
       out[i].samples = std::move(batch_scratch_.samples[i]);
-    if (request.timings) {
-      // Per-item attribution from the batch engine (this schedule's own
-      // evolution and scoring time), plus the whole-call wall time so
-      // callers can still see what the submission cost end to end.
-      Timings t;
-      t.precompute_ns = precompute_ns_;
-      t.simulate_ns = batch_scratch_.simulate_ns[i];
-      t.reduce_ns = batch_scratch_.reduce_ns[i];
-      t.batch_ns = batch_ns;
-      out[i].timings = std::move(t);
-    }
+    if (request.timings)
+      out[i].timings = Timings{precompute_ns_, batch_scratch_.simulate_ns[i],
+                               batch_scratch_.reduce_ns[i], batch_ns};
   }
   return out;
 }
@@ -219,7 +149,7 @@ EvalResult ProblemSession::optimize(const OptimizerSpec& optimizer) const {
   if (start.p() != optimizer.p)
     throw std::invalid_argument(
         "ProblemSession::optimize: initial schedule depth does not match p");
-  QaoaBatchObjective objective(*sim_, optimizer.p);
+  QaoaBatchObjective objective(evaluator_, optimizer.p);
   const auto population =
       [&objective](const std::vector<std::vector<double>>& points) {
         return objective(points);

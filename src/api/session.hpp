@@ -39,7 +39,7 @@ namespace qokit::api {
 namespace detail {
 
 /// Cheap exclusive-entry guard for the session's single-caller contract.
-/// The reused scratch_/batch_scratch_ buffers make concurrent calls on one
+/// The reused scratch pool and result buffers make concurrent calls on one
 /// ProblemSession silent data corruption; Scope turns that misuse into an
 /// immediate std::logic_error instead (one uncontended atomic exchange on
 /// entry, a store on exit). Not a lock: the second caller fails, it never
@@ -80,30 +80,23 @@ class ReentrancyGuard {
 
 }  // namespace detail
 
-/// Where an evaluation's time went, in nanoseconds.
+/// Where an evaluation's time went, in nanoseconds. Filling it only reads
+/// clocks: a timed request runs exactly the code an untimed one runs.
+/// Per-layer time is observability's job: with obs on, every layer opens
+/// a `layer` span and records into the qokit_layer_ns histogram.
 struct Timings {
   /// The session's one-time diagonal precompute. Paid at construction and
   /// amortized over every subsequent call -- reported (unchanged) on each
   /// result so callers can see what the session saved them, never re-paid.
   std::uint64_t precompute_ns = 0;
-  std::uint64_t simulate_ns = 0;  ///< state evolution (whole batch when
-                                  ///< batched; evolution and scoring are
-                                  ///< interleaved there)
-  std::uint64_t reduce_ns = 0;    ///< scoring: expectation / overlap /
-                                  ///< sampling (0 for batched calls)
-  /// Per-layer breakdown of simulate_ns (scalar evaluate() only; empty
-  /// for batched calls): layer_ns[l] is the wall time of layer l's fused
-  /// (or unfused) pass sequence, measured by chaining one-layer
-  /// simulate_qaoa_from calls (bit-identical to the single call). Each
-  /// entry includes that call's dispatch overhead — in particular the
-  /// dist:K backend re-spawns its rank team per call, so its layer_ns is
-  /// team setup + compute; compare single-node numbers, not dist ones,
-  /// against BENCH_pipeline.json.
-  std::vector<std::uint64_t> layer_ns{};
-  /// Batched calls only: wall time of the whole evaluate_batch submission
-  /// this item rode in (the same value on every item of one call; 0 for
-  /// scalar evaluate()). simulate_ns / reduce_ns above are this item's
-  /// own evolution / scoring time.
+  /// This schedule's evolution, including the expectation when requested
+  /// (fused into the final layer's last pass where the backend can).
+  std::uint64_t simulate_ns = 0;
+  /// This schedule's scoring: overlap, sampling, kept states.
+  std::uint64_t reduce_ns = 0;
+  /// Wall time of the whole evaluate() / evaluate_batch() call this item
+  /// rode in (the same value on every item of one call; evaluate() is a
+  /// batch of one).
   std::uint64_t batch_ns = 0;
 };
 
@@ -112,11 +105,13 @@ struct EvalRequest {
   bool expectation = true;  ///< fill EvalResult::expectation
   bool overlap = false;     ///< fill EvalResult::overlap
   int overlap_weight = -1;  ///< restrict the overlap minimum to this
-                            ///< Hamming-weight sector; -1 = full space
+                            ///< Hamming-weight sector (0..n); -1 = full
+                            ///< space; anything else throws
   int shots = 0;            ///< >0: fill EvalResult::samples
-  bool timings = false;     ///< fill EvalResult::timings
-  /// Batched calls only: schedule- vs state-parallel execution (Auto lets
-  /// the BatchEvaluator cost heuristic decide). Ignored by evaluate().
+  bool timings = false;     ///< fill EvalResult::timings (clocks only)
+  /// Schedule- vs state-parallel execution (Auto lets the BatchEvaluator
+  /// cost heuristic decide). evaluate() is a batch of one, which Auto
+  /// runs Inner: the simulator's own Exec policy.
   BatchParallelism parallelism = BatchParallelism::Auto;
 };
 
@@ -185,9 +180,12 @@ class ProblemSession {
   static ProblemSession sk(int n, std::uint64_t seed,
                            SimulatorSpec spec = {});
 
-  /// Evaluate one schedule. Evolves the reused scratch state (zero
-  /// steady-state statevector allocations) and scores exactly as a
-  /// freshly built simulator would -- bit-identical outputs.
+  /// Evaluate one schedule: the batch engine's evolve-and-score step on a
+  /// batch of one (zero steady-state statevector allocations), scoring
+  /// exactly as a freshly built simulator would -- bit-identical outputs,
+  /// equal to evaluate_batch({schedule}, request)[0]. Non-finite angles,
+  /// mismatched gamma/beta lengths, negative shots and an overlap_weight
+  /// outside {-1, 0..n} throw std::invalid_argument.
   EvalResult evaluate(const QaoaParams& schedule,
                       const EvalRequest& request = {}) const;
 
@@ -207,7 +205,7 @@ class ProblemSession {
       std::span<const QaoaParams> schedules) const;
 
   /// Run a parameter optimization. The population steps go through the
-  /// session's batch plumbing (QaoaBatchObjective); the result engages
+  /// session's own BatchEvaluator (QaoaBatchObjective); the result engages
   /// params / expectation (the optimized objective) / evaluations /
   /// batches / iterations / converged.
   EvalResult optimize(const OptimizerSpec& optimizer) const;
@@ -241,12 +239,15 @@ class ProblemSession {
   obs::Snapshot metrics() const { return obs::snapshot(); }
 
  private:
+  /// The shared body of evaluate / evaluate_batch (callers hold guard_).
+  std::vector<EvalResult> run(std::span<const QaoaParams> schedules,
+                              const EvalRequest& request) const;
+
   SimulatorSpec spec_;
   TermList terms_;
   std::uint64_t precompute_ns_ = 0;
   std::unique_ptr<QaoaFastSimulatorBase> sim_;
   BatchEvaluator evaluator_;
-  mutable StateVector scratch_;       ///< scalar-evaluate slot, reused
   mutable BatchResult batch_scratch_; ///< reused across evaluate_batch calls
   detail::ReentrancyGuard guard_;     ///< trips on concurrent entry
 };

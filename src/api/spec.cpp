@@ -8,8 +8,8 @@
 
 #include "diagonal/ops.hpp"
 #include "dist/dist_fur.hpp"
+#include "gatesim/compile.hpp"
 #include "gatesim/execute.hpp"
-#include "gatesim/simulator.hpp"
 #include "obs/obs.hpp"
 
 namespace qokit {
@@ -243,23 +243,25 @@ namespace {
 class GateSimAdapter final : public QaoaFastSimulatorBase {
  public:
   GateSimAdapter(const TermList& terms, const SimulatorSpec& spec)
-      : gates_(terms, GateSimConfig{.exec = spec.exec,
-                                    .mixer = spec.mixer,
-                                    .phase_style = PhaseStyle::CxLadder,
-                                    .fuse = false,
-                                    .out_of_place = false}),
+      : terms_(terms),
         diag_(CostDiagonal::precompute(terms, spec.exec)),
         exec_(spec.exec),
+        mixer_(spec.mixer),
         initial_weight_(spec.initial_weight) {}
 
-  int num_qubits() const override { return gates_.num_qubits(); }
+  int num_qubits() const override { return terms_.num_qubits(); }
 
   StateVector initial_state() const override {
     const int n = num_qubits();
-    // The compiled circuit opens with the H layer for the X mixer, so the
-    // evolution starts from |0...0>; xy runs start from the Dicke state.
-    if (gates_.config().mixer == MixerType::X)
-      return StateVector::basis_state(n, 0);
+    if (mixer_ == MixerType::X) {
+      // The legacy GateQaoaSimulator circuit opens with an H layer on
+      // |0...0>. Run that layer here, once, so chained simulate_qaoa_from
+      // calls evolve |+>^n exactly as the single call does.
+      StateVector state = StateVector::basis_state(n, 0);
+      run_circuit(state, compile_qaoa_circuit(terms_, {}, {}), exec_);
+      return state;
+    }
+    // xy runs start from the Dicke state, prepared directly.
     const int k = initial_weight_ >= 0 ? initial_weight_ : n / 2;
     return StateVector::dicke_state(n, k);
   }
@@ -272,12 +274,15 @@ class GateSimAdapter final : public QaoaFastSimulatorBase {
           "simulate_qaoa: gammas/betas length mismatch");
     if (state.num_qubits() != num_qubits())
       throw std::invalid_argument("simulate_qaoa: state size mismatch");
-    const Circuit c = gates_.build_circuit(gammas, betas);
-    run_circuit(state, c, exec_);
+    run_circuit(state,
+                compile_qaoa_circuit(terms_, gammas, betas, mixer_,
+                                     PhaseStyle::CxLadder,
+                                     /*initial_h=*/false),
+                exec_);
     // Constant terms compile to no gate but contribute a global phase per
     // layer; apply it so the state matches the diagonal simulators exactly
     // (same fixup as GateQaoaSimulator::simulate_qaoa).
-    const double offset = gates_.terms().offset();
+    const double offset = terms_.offset();
     if (offset != 0.0) {
       double total = 0.0;
       for (double g : gammas) total += g;
@@ -306,9 +311,10 @@ class GateSimAdapter final : public QaoaFastSimulatorBase {
   const CostDiagonal& get_cost_diagonal() const override { return diag_; }
 
  private:
-  GateQaoaSimulator gates_;
+  TermList terms_;
   CostDiagonal diag_;
   Exec exec_;
+  MixerType mixer_;
   int initial_weight_;
 };
 

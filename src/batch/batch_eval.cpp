@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <stdexcept>
+#include <string>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -20,22 +22,39 @@ std::uint64_t tick_ns() {
           .count());
 }
 
-/// Fill the requested per-schedule outputs from an evolved state. Always
-/// called on the submitting thread, in schedule order, so every reduction
-/// runs in the exact context a sequential simulate_qaoa loop would use.
-void score_one(const QaoaFastSimulatorBase& sim, const BatchOptions& opts,
-               std::size_t index, StateVector& state, BatchResult& out) {
-  if (!out.expectations.empty())
-    out.expectations[index] = sim.get_expectation(state);
-  if (!out.overlaps.empty())
-    out.overlaps[index] = sim.get_overlap(state, opts.overlap_weight);
-  if (!out.samples.empty()) {
-    // Seeded per schedule index, so the drawn bitstrings are independent
-    // of evaluation order and of the parallelism mode.
-    Rng rng(opts.sample_seed + index);
-    out.samples[index] = sample_states(state, opts.sample_shots, rng);
+/// Per-call option checks shared by the constructor and evaluate_into.
+void check_options(const BatchOptions& opts, int num_qubits) {
+  if (opts.sample_shots < 0)
+    throw std::invalid_argument("BatchEvaluator: sample_shots must be >= 0");
+  if (opts.overlap_weight < -1 || opts.overlap_weight > num_qubits)
+    throw std::invalid_argument(
+        "BatchEvaluator: overlap_weight " +
+        std::to_string(opts.overlap_weight) +
+        " is out of range (allowed: -1 for the full space, or 0.." +
+        std::to_string(num_qubits) + ")");
+}
+
+/// Every schedule must pair each gamma with a beta, and every angle must
+/// be finite: a NaN or infinite angle would otherwise come back as a NaN
+/// expectation inside a successful result.
+void check_schedules(std::span<const QaoaParams> schedules) {
+  const auto check_angles = [](std::size_t index, const char* name,
+                               const std::vector<double>& angles) {
+    for (std::size_t j = 0; j < angles.size(); ++j)
+      if (!std::isfinite(angles[j]))
+        throw std::invalid_argument(
+            "BatchEvaluator: schedule " + std::to_string(index) + " " +
+            name + "[" + std::to_string(j) + "] is not finite");
+  };
+  for (std::size_t i = 0; i < schedules.size(); ++i) {
+    const QaoaParams& s = schedules[i];
+    if (s.gammas.size() != s.betas.size())
+      throw std::invalid_argument("BatchEvaluator: schedule " +
+                                  std::to_string(i) +
+                                  ": gammas/betas length mismatch");
+    check_angles(i, "gamma", s.gammas);
+    check_angles(i, "beta", s.betas);
   }
-  if (!out.states.empty()) out.states[index] = state;  // copy; slot lives on
 }
 
 }  // namespace
@@ -46,8 +65,7 @@ BatchEvaluator::BatchEvaluator(const QaoaFastSimulatorBase& sim,
       opts_(opts),
       init_(sim.initial_state()),
       scratch_(static_cast<std::size_t>(max_threads())) {
-  if (opts_.sample_shots < 0)
-    throw std::invalid_argument("BatchEvaluator: sample_shots must be >= 0");
+  check_options(opts_, sim.num_qubits());
 }
 
 BatchParallelism BatchEvaluator::resolve_parallelism(std::size_t batch) const {
@@ -82,14 +100,8 @@ BatchParallelism BatchEvaluator::resolve(BatchParallelism requested,
 void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
                                    const BatchOptions& opts,
                                    BatchResult& out) const {
-  // Same guard the constructor applies to its own options: per-call
-  // options must not silently drop a nonsensical shot count.
-  if (opts.sample_shots < 0)
-    throw std::invalid_argument("BatchEvaluator: sample_shots must be >= 0");
-  for (const QaoaParams& s : schedules)
-    if (s.gammas.size() != s.betas.size())
-      throw std::invalid_argument(
-          "BatchEvaluator: gammas/betas length mismatch");
+  check_options(opts, sim_->num_qubits());
+  check_schedules(schedules);
   const std::size_t m = schedules.size();
   out.used = resolve(opts.parallelism, m);
   // resize() reuses existing capacity (and, for states, the statevector
@@ -110,6 +122,7 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
       obs::counter("qokit_batch_scratch_hits_total");
   static const obs::Counter scratch_allocs =
       obs::counter("qokit_batch_scratch_allocs_total");
+  static const obs::Histogram reduce_hist = obs::histogram("qokit_reduce_ns");
   batch_calls.add();
   batch_schedules.add(m);
   obs::Span span("evaluate_batch");
@@ -117,10 +130,12 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
   span.attr("mode",
             out.used == BatchParallelism::Outer ? "outer" : "inner");
 
-  // Evolve schedule i in slot: refill from the cached initial state (a
-  // copy-assign that reuses the slot's buffer, so no allocation after the
-  // slot's first use), then the consume-in-place evolution; the buffer
-  // round-trips through moves and comes back to the slot.
+  // The one evolve-and-score step every caller shares. Evolve schedule i
+  // in slot: refill from the cached initial state (a copy-assign that
+  // reuses the slot's buffer, so no allocation after the slot's first
+  // use), then evolve in place. A requested expectation rides the
+  // evolution (simulate_qaoa_expectation: fused into the final pass on
+  // FurQaoaSimulator, two-pass elsewhere, bit-identical either way).
   auto evolve = [&](std::size_t i, StateVector& slot) {
     // A slot already sized (and precision-matched) like the initial state
     // refills in place; a fresh or mismatched slot pays an allocation.
@@ -130,13 +145,28 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
     else scratch_allocs.add();
     const std::uint64_t t0 = opts.record_timings ? tick_ns() : 0;
     slot = init_;
-    slot = sim_->simulate_qaoa_from(std::move(slot), schedules[i].gammas,
-                                    schedules[i].betas);
+    const QaoaParams& q = schedules[i];
+    if (opts.compute_expectation)
+      out.expectations[i] =
+          sim_->simulate_qaoa_expectation(slot, q.gammas, q.betas);
+    else
+      slot = sim_->simulate_qaoa_from(std::move(slot), q.gammas, q.betas);
     if (opts.record_timings) out.simulate_ns[i] = tick_ns() - t0;
   };
+  // Scoring: the reductions left once the expectation is known. Always on
+  // the submitting thread, in schedule order.
   auto score = [&](std::size_t i, StateVector& slot) {
+    obs::Span rspan("reduce", reduce_hist);
     const std::uint64_t t0 = opts.record_timings ? tick_ns() : 0;
-    score_one(*sim_, opts, i, slot, out);
+    if (!out.overlaps.empty())
+      out.overlaps[i] = sim_->get_overlap(slot, opts.overlap_weight);
+    if (!out.samples.empty()) {
+      // Seeded per schedule index, so the drawn bitstrings are independent
+      // of evaluation order and of the parallelism mode.
+      Rng rng(opts.sample_seed + i);
+      out.samples[i] = sample_states(slot, opts.sample_shots, rng);
+    }
+    if (!out.states.empty()) out.states[i] = slot;  // copy; slot lives on
     if (opts.record_timings) out.reduce_ns[i] = tick_ns() - t0;
   };
 
@@ -152,10 +182,10 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
   // Outer: rounds of up to one schedule per scratch slot. Evolution
   // threads across the round (schedule(static, 1) pins iteration c to one
   // thread, so slot c is touched by exactly one thread; the kernels are
-  // elementwise, so partitioning cannot change their arithmetic). Scoring
-  // runs after the join on the calling thread, exactly where a sequential
-  // loop would score, which keeps the reductions bit-identical to the
-  // non-batched path at every state size.
+  // elementwise, so partitioning cannot change their arithmetic; the
+  // fused expectation sums its reduce blocks in index order whatever the
+  // team). Scoring runs after the join on the calling thread, exactly
+  // where a sequential loop would score.
   const std::size_t slots = scratch_.size();
   std::vector<std::exception_ptr> errors(slots);
   for (std::size_t base = 0; base < m; base += slots) {

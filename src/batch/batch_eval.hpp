@@ -15,9 +15,14 @@
 //  - Inner: sequential over schedules; each simulate_qaoa uses the
 //    simulator's own Exec policy. Wins for few large jobs, and is forced
 //    for simulators that already own the machine's threads (dist:K).
-// Either way the per-schedule arithmetic is the exact code path of a
-// sequential simulate_qaoa loop, so results are bit-identical to it (the
-// cross-validation suite asserts equality, not tolerance).
+// Either way each schedule runs the one evolve-and-score step every
+// caller shares (ProblemSession::evaluate is its batch of one): refill,
+// simulate_qaoa_expectation when an expectation is requested (fused into
+// the final pass on FurQaoaSimulator), then overlap / samples / states.
+// Results are bit-identical to a sequential simulate_qaoa +
+// get_expectation loop (the cross-validation suite asserts equality, not
+// tolerance). evaluate_into validates every request once: finite angles,
+// matching gamma/beta lengths, shots >= 0, overlap_weight in {-1, 0..n}.
 //
 // The fused layer pipeline (src/pipeline/) is inherited for free: the
 // LayerPlan lives in the wrapped simulator, built once at construction, so
@@ -48,13 +53,15 @@ struct BatchOptions {
   bool compute_expectation = true;  ///< fill BatchResult::expectations
   bool compute_overlap = false;     ///< fill BatchResult::overlaps
   int overlap_weight = -1;   ///< restrict the overlap to this HW sector
+                             ///< (0..n); -1 = full space
   bool keep_states = false;  ///< fill BatchResult::states (copies; test aid)
   int sample_shots = 0;      ///< >0: sample this many bitstrings/schedule
   std::uint64_t sample_seed = 1;  ///< schedule i samples with seed+i
   /// Fill BatchResult::simulate_ns / reduce_ns with per-schedule wall
-  /// times. Evolution is timed on whichever thread ran it (valid in Outer
-  /// mode: schedule(static, 1) pins each slot to one thread); scoring is
-  /// timed on the submitting thread where it always runs.
+  /// times (reads clocks only; the same code runs either way). Evolution,
+  /// including a fused expectation, is timed on whichever thread ran it
+  /// (valid in Outer mode: schedule(static, 1) pins each slot to one
+  /// thread); scoring is timed on the submitting thread where it runs.
   bool record_timings = false;
 };
 
@@ -64,7 +71,8 @@ struct BatchResult {
   std::vector<double> overlaps;      ///< empty unless compute_overlap
   std::vector<StateVector> states;   ///< empty unless keep_states
   std::vector<std::vector<std::uint64_t>> samples;  ///< empty unless shots
-  /// Per-schedule evolution / scoring wall time in nanoseconds; empty
+  /// Per-schedule wall time in nanoseconds of evolution (with the
+  /// expectation) and of scoring (overlap / samples / states); empty
   /// unless record_timings.
   std::vector<std::uint64_t> simulate_ns;
   std::vector<std::uint64_t> reduce_ns;
@@ -115,11 +123,6 @@ class BatchEvaluator {
 
   const QaoaFastSimulatorBase& simulator() const { return *sim_; }
   const BatchOptions& options() const { return opts_; }
-
-  /// The initial state cached at construction (copied into scratch per
-  /// schedule); exposed so callers sharing the evaluator -- the session's
-  /// scalar path -- can refill their own scratch without recomputing it.
-  const StateVector& initial_state() const { return init_; }
 
   /// Outer mode keeps one scratch state per thread; above this total
   /// footprint the Auto heuristic falls back to Inner.

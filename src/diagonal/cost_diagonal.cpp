@@ -96,8 +96,7 @@ CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec) {
   static const obs::Histogram precompute_hist =
       obs::histogram("qokit_precompute_ns");
   precomputes.add();
-  obs::HistTimer timer(precompute_hist);
-  obs::Span span("precompute");
+  obs::Span span("precompute", precompute_hist);
   span.attr("n", terms.num_qubits());
   span.attr("terms", static_cast<std::int64_t>(terms.size()));
   CostDiagonal d;

@@ -12,6 +12,13 @@
 namespace qokit {
 namespace {
 
+/// Per-layer wall time: every layer loop below opens a `layer` span that
+/// also records into this histogram (one relaxed load when obs is off).
+const obs::Histogram& layer_hist() {
+  static const obs::Histogram hist = obs::histogram("qokit_layer_ns");
+  return hist;
+}
+
 /// One fused schedule over a raw amplitude array at either precision.
 /// When `red` is set, the FINAL layer's last pass carries the expectation
 /// reduction into `partials` (double at both precisions). The u16 factor
@@ -26,7 +33,10 @@ void fused_schedule(const pipeline::LayerPlan& plan, std::complex<T>* amp,
                     const pipeline::ExpectationCtx* red = nullptr,
                     double* partials = nullptr) {
   thread_local aligned_vector<std::complex<T>> lut;  // u16 per-gamma factors
+  const obs::Histogram& hist = layer_hist();
   for (std::size_t l = 0; l < gammas.size(); ++l) {
+    obs::Span span("layer", hist);
+    span.attr("layer", static_cast<std::int64_t>(l));
     pipeline::PhaseCtxT<T> ctx;
     if (use_u16) {
       diag16.phase_table_into(gammas[l], lut);
@@ -154,7 +164,10 @@ StateVector FurQaoaSimulator::simulate_qaoa_from(
   // Algorithm 3, unfused (the pipeline's correctness oracle): per layer,
   // one elementwise phase multiply from the cached diagonal and one
   // in-place mixer transform. Nothing scales with |T|.
+  const obs::Histogram& hist = layer_hist();
   for (std::size_t l = 0; l < gammas.size(); ++l) {
+    obs::Span lspan("layer", hist);
+    lspan.attr("layer", static_cast<std::int64_t>(l));
     if (cfg_.use_u16)
       apply_phase(state, diag16_, gammas[l], cfg_.exec);
     else

@@ -174,6 +174,15 @@ class Span {
   explicit Span(const char* name) noexcept : live_(enabled()) {
     if (live_) open(name);
   }
+  /// Same, and the closing span also records its duration (ns) into
+  /// `hist`: a trace event and a latency histogram for one enabled()
+  /// check. `hist` must outlive the span (a function-local static).
+  Span(const char* name, const Histogram& hist) noexcept
+      : live_(enabled()) {
+    if (!live_) return;
+    hist_ = &hist;
+    open(name);
+  }
   ~Span() {
     if (live_) close();
   }
@@ -208,6 +217,7 @@ class Span {
   int n_attrs_ = 0;
   int depth_ = 0;
   const char* name_ = nullptr;
+  const Histogram* hist_ = nullptr;
   std::uint64_t start_ = 0;
   Attr attrs_[kMaxSpanAttrs];
 };
@@ -217,21 +227,6 @@ class Span {
 #define QOKIT_OBS_CONCAT(a, b) QOKIT_OBS_CONCAT2(a, b)
 #define OBS_SPAN(name) \
   ::qokit::obs::Span QOKIT_OBS_CONCAT(qokit_obs_span_, __LINE__)(name)
-
-/// RAII wall-clock timer recording its lifetime into a histogram on
-/// destruction (nanoseconds). Free when observability is off.
-class HistTimer {
- public:
-  explicit HistTimer(Histogram hist) noexcept;
-  ~HistTimer();
-  HistTimer(const HistTimer&) = delete;
-  HistTimer& operator=(const HistTimer&) = delete;
-
- private:
-  Histogram hist_;
-  std::uint64_t start_ = 0;
-  bool live_;
-};
 
 /// Point-in-time view of one histogram: per-bucket (non-cumulative)
 /// counts, bucket i counting values <= bounds[i]; buckets.back() is the

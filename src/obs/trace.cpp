@@ -42,15 +42,7 @@ void Span::close() noexcept {
   e.n_attrs = n_attrs_;
   for (int i = 0; i < n_attrs_; ++i) e.attrs[i] = attrs_[i];
   detail::push_event(e);
-}
-
-HistTimer::HistTimer(Histogram hist) noexcept
-    : hist_(hist), live_(enabled()) {
-  if (live_) start_ = detail::now_ns();
-}
-
-HistTimer::~HistTimer() {
-  if (live_) hist_.record(detail::now_ns() - start_);
+  if (hist_) hist_->record(e.dur_ns);
 }
 
 std::uint64_t trace_event_count() {

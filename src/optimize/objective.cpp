@@ -2,7 +2,6 @@
 
 #include <span>
 #include <stdexcept>
-#include <utility>
 
 namespace qokit {
 
@@ -22,13 +21,11 @@ double QaoaObjective::operator()(const std::vector<double>& x) const {
   // statevector is allocated, where simulate_qaoa would allocate and fill
   // a fresh initial state per evaluation.
   scratch_ = init_;
-  scratch_ = sim_->simulate_qaoa_from(std::move(scratch_), gammas, betas);
-  return sim_->get_expectation(scratch_);
+  return sim_->simulate_qaoa_expectation(scratch_, gammas, betas);
 }
 
-QaoaBatchObjective::QaoaBatchObjective(const QaoaFastSimulatorBase& sim, int p,
-                                       BatchOptions opts)
-    : evaluator_(sim, opts), p_(p) {
+QaoaBatchObjective::QaoaBatchObjective(const BatchEvaluator& evaluator, int p)
+    : evaluator_(&evaluator), p_(p) {
   if (p < 1) throw std::invalid_argument("QaoaBatchObjective: p must be >= 1");
 }
 
@@ -40,7 +37,7 @@ std::vector<double> QaoaBatchObjective::operator()(
           "QaoaBatchObjective: expected 2p parameters");
   evals_ += static_cast<int>(points.size());
   ++batches_;
-  return evaluator_.expectations_packed(points);
+  return evaluator_->expectations_packed(points);
 }
 
 }  // namespace qokit

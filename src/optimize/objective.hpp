@@ -1,11 +1,11 @@
 // The QAOA objective <gamma beta|C|gamma beta> as an optimizable functor.
 //
 // Wraps any QaoaFastSimulatorBase: the simulator owns the precomputed
-// diagonal, so every call costs p mixer transforms + p phase multiplies +
-// one inner product -- the loop of paper Fig. 1 that the optimizer drives.
-// Both functors reuse scratch statevectors across calls (the evolution is
-// consume-in-place per simulate_qaoa_from's contract), so steady-state
-// evaluation performs zero statevector allocations.
+// diagonal, so every call costs p mixer transforms + p phase multiplies,
+// with the inner product fused into the last pass where the backend can
+// (simulate_qaoa_expectation) -- the loop of paper Fig. 1 that the
+// optimizer drives. Both functors reuse scratch statevectors across calls,
+// so steady-state evaluation performs zero statevector allocations.
 #pragma once
 
 #include <functional>
@@ -47,15 +47,15 @@ class QaoaObjective {
 };
 
 /// Population objective for the batched optimizers: evaluates a set of
-/// packed points through one BatchEvaluator submission, sharing the
-/// precomputed diagonal and the per-thread scratch pool across the whole
-/// optimization run. Matches the BatchObjectiveFn shape of
-/// nelder_mead_batched / spsa_batched.
+/// packed points through one submission to a borrowed BatchEvaluator,
+/// sharing its precomputed diagonal, cached initial state, and per-thread
+/// scratch pool across the whole optimization run. Matches the
+/// BatchObjectiveFn shape of nelder_mead_batched / spsa_batched.
 class QaoaBatchObjective {
  public:
-  /// `sim` must outlive the objective. `p` fixes the parameter layout.
-  QaoaBatchObjective(const QaoaFastSimulatorBase& sim, int p,
-                     BatchOptions opts = {});
+  /// `evaluator` must outlive the objective (and, like any evaluator, is
+  /// single-caller). `p` fixes the parameter layout.
+  QaoaBatchObjective(const BatchEvaluator& evaluator, int p);
 
   /// Objective values of a population of packed points (each size 2p),
   /// in submission order.
@@ -71,10 +71,9 @@ class QaoaBatchObjective {
   void reset_count() { evals_ = batches_ = 0; }
 
   int p() const { return p_; }
-  const BatchEvaluator& evaluator() const { return evaluator_; }
 
  private:
-  BatchEvaluator evaluator_;
+  const BatchEvaluator* evaluator_;
   int p_;
   mutable int evals_ = 0;
   mutable int batches_ = 0;

@@ -45,10 +45,11 @@ std::uint64_t problem_key(const TermList& terms, const SimulatorSpec& spec) {
 std::uint64_t session_footprint_bytes(int num_qubits, std::size_t num_terms,
                                       Precision prec) {
   const std::uint64_t dim = std::uint64_t{1} << num_qubits;
-  // f64 diagonal + three statevectors (cached initial state, scalar
-  // scratch, one batch-pool slot) at the session's actual amplitude width
-  // (16 bytes f64, 8 bytes f32), plus the terms and a fixed allowance for
-  // the plan/object headers.
+  // f64 diagonal + three statevectors (the cached initial state, the
+  // batch-pool slot every evaluate uses, and one more slot as an allowance
+  // for Outer-mode batches) at the session's actual amplitude width (16
+  // bytes f64, 8 bytes f32), plus the terms and a fixed allowance for the
+  // plan/object headers.
   return dim * (8 + 3 * amplitude_bytes(prec)) + num_terms * sizeof(Term) +
          4096;
 }

@@ -46,8 +46,8 @@ namespace qokit::serve {
 std::uint64_t problem_key(const TermList& terms, const SimulatorSpec& spec);
 
 /// Footprint estimate used against the byte budget: the 2^n-sized buffers
-/// a session owns (f64 diagonal, cached initial state, scalar scratch, and
-/// one batch-pool statevector slot) plus its terms. An estimate, not an
+/// a session owns (f64 diagonal, cached initial state, and two batch-pool
+/// statevector slots) plus its terms. An estimate, not an
 /// accounting -- it only needs to be monotone in n for LRU pressure to
 /// behave. The statevector buffers are charged at `prec`'s actual
 /// amplitude width, so an f32 session costs roughly half an f64 one and

@@ -33,10 +33,8 @@ class StateSampler {
   std::vector<std::uint64_t> sample(int shots, Rng& rng) const;
 
   /// Seeded variant: draws from a fresh Rng(seed), so the stream is a
-  /// function of (state, shots, seed) alone. This is how the session API
-  /// threads SimulatorSpec::sample_seed through: two sessions with equal
-  /// specs — whatever their Exec policy, which never reaches the sampler —
-  /// produce identical sample streams.
+  /// function of (state, shots, seed) alone — whatever the Exec policy,
+  /// which never reaches the sampler.
   std::vector<std::uint64_t> sample(int shots, std::uint64_t seed) const;
 
   /// Histogram of `shots` outcomes (bitstring -> count). Throws

@@ -265,8 +265,10 @@ TEST_F(ObsTest, SpanNestingAndAttributes) {
   const std::string trace = obs::trace_json();
   EXPECT_TRUE(JsonValidator(trace).valid()) << trace.substr(0, 400);
 
-  // Nesting depths recorded at open: evaluate (0) > layer (1) >
-  // simulate (2) > pipeline_layer (3); reduce reopens at depth 1.
+  // Nesting depths recorded at open: evaluate (0) > evaluate_batch (1,
+  // the one evolve-and-score step) > simulate_expectation (2; "simulate"
+  // where the backend reduces in a second pass) > layer (3); reduce
+  // opens at depth 2, after the evolution.
   const std::string evaluate = event_line(trace, "evaluate");
   ASSERT_FALSE(evaluate.empty());
   EXPECT_NE(evaluate.find("\"depth\":0"), std::string::npos) << evaluate;
@@ -275,17 +277,22 @@ TEST_F(ObsTest, SpanNestingAndAttributes) {
   EXPECT_NE(evaluate.find("\"backend\":\"serial\""), std::string::npos)
       << evaluate;
 
-  const std::string layer = event_line(trace, "layer");
-  ASSERT_FALSE(layer.empty());
-  EXPECT_NE(layer.find("\"depth\":1"), std::string::npos) << layer;
+  const std::string batch = event_line(trace, "evaluate_batch");
+  ASSERT_FALSE(batch.empty());
+  EXPECT_NE(batch.find("\"depth\":1"), std::string::npos) << batch;
 
-  const std::string simulate = event_line(trace, "simulate");
+  std::string simulate = event_line(trace, "simulate_expectation");
+  if (simulate.empty()) simulate = event_line(trace, "simulate");
   ASSERT_FALSE(simulate.empty());
   EXPECT_NE(simulate.find("\"depth\":2"), std::string::npos) << simulate;
 
+  const std::string layer = event_line(trace, "layer");
+  ASSERT_FALSE(layer.empty());
+  EXPECT_NE(layer.find("\"depth\":3"), std::string::npos) << layer;
+
   const std::string reduce = event_line(trace, "reduce");
   ASSERT_FALSE(reduce.empty());
-  EXPECT_NE(reduce.find("\"depth\":1"), std::string::npos) << reduce;
+  EXPECT_NE(reduce.find("\"depth\":2"), std::string::npos) << reduce;
 
   // The precompute span from construction is there too, at top level.
   const std::string precompute = event_line(trace, "precompute");
@@ -413,13 +420,26 @@ TEST_F(ObsTest, BatchTimingsArePerItem) {
   EXPECT_EQ(rs[0].timings->batch_ns, rs[1].timings->batch_ns);
   EXPECT_NE(rs[1].timings->simulate_ns, rs[1].timings->batch_ns);
 
-  // Scalar evaluate has no enclosing batch.
+  // Scalar evaluate is a batch of one: its batch_ns is the whole call.
+  // Per-layer time comes from obs, on the same untimed code path: one
+  // qokit_layer_ns sample per layer, one qokit_reduce_ns per schedule.
+  obs::set_enabled(true);
+  obs::reset();
   api::EvalRequest scalar_req;
   scalar_req.timings = true;
   const api::EvalResult scalar = s.evaluate(linear_ramp(2), scalar_req);
   ASSERT_TRUE(scalar.timings.has_value());
-  EXPECT_EQ(scalar.timings->batch_ns, 0u);
-  EXPECT_EQ(scalar.timings->layer_ns.size(), 2u);
+  EXPECT_GT(scalar.timings->batch_ns, 0u);
+  EXPECT_LE(scalar.timings->simulate_ns, scalar.timings->batch_ns);
+  const obs::Snapshot snap = obs::snapshot();
+  const obs::HistogramSnapshot* layers =
+      find_histogram(snap, "qokit_layer_ns");
+  ASSERT_NE(layers, nullptr);
+  EXPECT_EQ(layers->count, 2u);
+  const obs::HistogramSnapshot* reduces =
+      find_histogram(snap, "qokit_reduce_ns");
+  ASSERT_NE(reduces, nullptr);
+  EXPECT_EQ(reduces->count, 1u);
 
   // The engine-level switch: timing vectors only materialize on request.
   BatchOptions opts;
@@ -430,6 +450,44 @@ TEST_F(ObsTest, BatchTimingsArePerItem) {
   const BatchResult timed = s.batch().evaluate(batch, opts);
   EXPECT_EQ(timed.simulate_ns.size(), batch.size());
   EXPECT_EQ(timed.reduce_ns.size(), batch.size());
+}
+
+TEST_F(ObsTest, TimingsAndObsNeverChangeResults) {
+  // The measured path is the production path: asking for timings or
+  // turning observability on only reads clocks and records events, so
+  // evaluate() and a batch of one return the same bits in every mode.
+  const QaoaParams q = linear_ramp(3);
+  const std::vector<QaoaParams> one{q};
+  for (const char* name :
+       {"auto:prec=f64", "serial:prec=f64", "u16:prec=f64", "fwht:prec=f64",
+        "gatesim", "dist:2:prec=f64", "auto:prec=f32", "serial:prec=f32",
+        "u16:prec=f32", "fwht:prec=f32", "dist:2:prec=f32"}) {
+    SCOPED_TRACE(name);
+    obs::set_enabled(false);
+    // n = 11 is wide enough for the fused final-pass expectation.
+    const api::ProblemSession s =
+        api::ProblemSession::sk(11, 3, SimulatorSpec::parse(name));
+    api::EvalRequest req;
+    req.overlap = true;
+    req.shots = 16;
+    const api::EvalResult ref = s.evaluate_batch(one, req).front();
+    for (const bool timings : {false, true}) {
+      for (const bool observed : {false, true}) {
+        SCOPED_TRACE(std::string("timings=") + (timings ? "on" : "off") +
+                     " obs=" + (observed ? "on" : "off"));
+        obs::set_enabled(observed);
+        req.timings = timings;
+        const api::EvalResult scalar = s.evaluate(q, req);
+        const api::EvalResult batched = s.evaluate_batch(one, req).front();
+        for (const api::EvalResult* r : {&scalar, &batched}) {
+          EXPECT_EQ(r->expectation, ref.expectation);
+          EXPECT_EQ(r->overlap, ref.overlap);
+          EXPECT_EQ(r->samples, ref.samples);
+          EXPECT_EQ(r->timings.has_value(), timings);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ObsTest, GaugeAndResetSemantics) {

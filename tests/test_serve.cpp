@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <optional>
@@ -636,6 +637,39 @@ TEST(ScheduleServer, BadRequestsAreReportedNotFatal) {
   EXPECT_EQ(wire_ok->status, Status::Ok);
   EXPECT_EQ(wire_ok->expectations.size(), 1u);
   ::close(fd);
+  server.shutdown();
+}
+
+TEST(ScheduleServer, NonFiniteAnglesAndBadOverlapWeightsAreBadRequests) {
+  ServerConfig config;
+  config.workers = 1;
+  ScheduleServer server(config);
+  // A NaN angle would otherwise come back as a NaN expectation marked Ok;
+  // the shared evaluate step rejects it naming schedule and angle.
+  std::vector<QaoaParams> schedules = random_schedules(3, 2, 4);
+  schedules[2].betas[1] = std::nan("");
+  const Response nan_angle =
+      server.submit_blocking(make_request(8, 1, schedules));
+  EXPECT_EQ(nan_angle.status, Status::BadRequest);
+  EXPECT_NE(nan_angle.error.find("schedule 2"), std::string::npos)
+      << nan_angle.error;
+  EXPECT_NE(nan_angle.error.find("beta[1]"), std::string::npos)
+      << nan_angle.error;
+  EXPECT_TRUE(nan_angle.expectations.empty());
+
+  // An overlap weight outside {-1, 0..n} is refused, not read as "full
+  // space".
+  Request bad_weight = make_request(8, 1, random_schedules(1, 2, 4));
+  bad_weight.overlap = true;
+  bad_weight.overlap_weight = -5;
+  const Response weight = server.submit_blocking(std::move(bad_weight));
+  EXPECT_EQ(weight.status, Status::BadRequest);
+  EXPECT_NE(weight.error.find("-5"), std::string::npos) << weight.error;
+
+  // The server keeps serving.
+  const Response ok =
+      server.submit_blocking(make_request(8, 1, random_schedules(1, 2, 4)));
+  EXPECT_EQ(ok.status, Status::Ok);
   server.shutdown();
 }
 

@@ -439,6 +439,99 @@ TEST(ProblemSession, PortfolioBuilderDefaultsToInSectorXyMixer) {
               1e-10);
 }
 
+TEST(ProblemSession, ChainedOneLayerCallsMatchTheSingleCall) {
+  // simulate_qaoa_from consumes and continues a state, so p one-layer
+  // calls must evolve exactly what one p-layer call does (gatesim once
+  // re-applied its opening H layer on every call). Bitwise on fur/dist;
+  // gatesim's per-call global-phase fixup for constant terms (LABS has
+  // one) rounds differently, hence its 1e-12 tolerance. The depth trace's
+  // last entry must also equal the session's evaluate().
+  const TermList terms = labs_terms(10);
+  const QaoaParams q = random_schedules(1, 3, 29).front();
+  for (const char* name :
+       {"auto", "serial", "u16", "fwht", "gatesim", "dist:2",
+        "auto:prec=f32", "auto:mixer=xyring", "gatesim:mixer=xyring"}) {
+    SCOPED_TRACE(name);
+    const api::ProblemSession session(terms, SimulatorSpec::parse(name));
+    const QaoaFastSimulatorBase& sim = session.simulator();
+    const double tol =
+        session.spec().backend == Backend::Gatesim ? 1e-12 : 0.0;
+    StateVector chained = sim.initial_state();
+    for (std::size_t l = 0; l < q.gammas.size(); ++l)
+      chained = sim.simulate_qaoa_from(
+          std::move(chained), std::span(q.gammas).subspan(l, 1),
+          std::span(q.betas).subspan(l, 1));
+    EXPECT_LE(chained.max_abs_diff(session.simulate(q)), tol);
+    const double evaluated = *session.evaluate(q).expectation;
+    const double traced =
+        per_layer_expectations(sim, q.gammas, q.betas).back();
+    EXPECT_NEAR(traced, evaluated, tol * std::abs(evaluated));
+  }
+}
+
+TEST(ProblemSession, RejectsNonFiniteAnglesAndBadOverlapWeights) {
+  // One check in the shared evaluate step covers every entry point: a
+  // non-finite angle names its schedule and angle index, a bad overlap
+  // weight names itself. Allowed weights: -1 (full space) or 0..n.
+  const int n = 8;
+  const Graph g = Graph::random_regular(n, 3, 31);
+  const auto expect_rejected = [](const auto& call, const char* needle_a,
+                                  const char* needle_b) {
+    try {
+      call();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(needle_a), std::string::npos) << what;
+      EXPECT_NE(what.find(needle_b), std::string::npos) << what;
+    }
+  };
+  for (const char* name : {"auto", "serial", "gatesim", "dist:2"}) {
+    SCOPED_TRACE(name);
+    const api::ProblemSession session =
+        api::ProblemSession::maxcut(g, SimulatorSpec::parse(name));
+    for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      QaoaParams nan_gamma = linear_ramp(2);
+      nan_gamma.gammas[1] = bad;
+      expect_rejected([&] { (void)session.evaluate(nan_gamma); },
+                      "schedule 0", "gamma[1]");
+      std::vector<QaoaParams> batch = random_schedules(3, 2, 37);
+      batch[2].betas[0] = bad;
+      expect_rejected([&] { (void)session.evaluate_batch(batch); },
+                      "schedule 2", "beta[0]");
+      expect_rejected([&] { (void)session.expectations(batch); },
+                      "schedule 2", "beta[0]");
+      api::OptimizerSpec optimizer;
+      optimizer.p = 2;
+      optimizer.initial = nan_gamma;
+      expect_rejected([&] { (void)session.optimize(optimizer); },
+                      "schedule 0", "gamma[1]");
+    }
+    const QaoaParams q = linear_ramp(2);
+    for (const int weight : {-5, -2, n + 1}) {
+      api::EvalRequest request;
+      request.overlap = true;
+      request.overlap_weight = weight;
+      const std::string spelled = std::to_string(weight);
+      expect_rejected([&] { (void)session.evaluate(q, request); },
+                      "overlap_weight", spelled.c_str());
+    }
+    for (const int weight : {-1, 0, n}) {
+      api::EvalRequest request;
+      request.overlap = true;
+      request.overlap_weight = weight;
+      EXPECT_TRUE(session.evaluate(q, request).overlap.has_value());
+    }
+  }
+  // The one-line compatibility layer wraps a session, so it inherits the
+  // check.
+  const std::vector<double> gammas{0.1, std::nan("")};
+  const std::vector<double> betas{0.2, 0.3};
+  expect_rejected(
+      [&] { (void)api::qaoa_maxcut_expectation(g, gammas, betas); },
+      "schedule 0", "gamma[1]");
+}
+
 TEST(ProblemSession, RejectsNonFiniteTermWeightsOnEveryBackend) {
   // A non-finite weight would poison whole transform blocks with NaN;
   // building the session must fail instead, naming the term.
