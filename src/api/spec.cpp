@@ -274,11 +274,21 @@ class GateSimAdapter final : public QaoaFastSimulatorBase {
           "simulate_qaoa: gammas/betas length mismatch");
     if (state.num_qubits() != num_qubits())
       throw std::invalid_argument("simulate_qaoa: state size mismatch");
-    run_circuit(state,
-                compile_qaoa_circuit(terms_, gammas, betas, mixer_,
-                                     PhaseStyle::CxLadder,
-                                     /*initial_h=*/false),
-                exec_);
+    // One circuit per layer, so each layer gets its own `layer` span and
+    // qokit_layer_ns sample; the gates and their order are those of the
+    // whole-schedule circuit.
+    static const obs::Histogram layer_hist =
+        obs::histogram("qokit_layer_ns");
+    for (std::size_t l = 0; l < gammas.size(); ++l) {
+      obs::Span span("layer", layer_hist);
+      span.attr("layer", static_cast<std::int64_t>(l));
+      run_circuit(state,
+                  compile_qaoa_circuit(terms_, gammas.subspan(l, 1),
+                                       betas.subspan(l, 1), mixer_,
+                                       PhaseStyle::CxLadder,
+                                       /*initial_h=*/false),
+                  exec_);
+    }
     // Constant terms compile to no gate but contribute a global phase per
     // layer; apply it so the state matches the diagonal simulators exactly
     // (same fixup as GateQaoaSimulator::simulate_qaoa).
@@ -369,6 +379,7 @@ std::unique_ptr<QaoaFastSimulatorBase> make_simulator(
     throw std::invalid_argument(
         "make_simulator: prec=f32 supports the X-mixer fur/dist backends "
         "only (gatesim and xy mixers are f64-only)");
+  check_qubit_limit(terms.num_qubits(), prec);
   record_precision(prec);
   switch (spec.backend) {
     case Backend::Dist:

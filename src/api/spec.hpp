@@ -41,9 +41,11 @@ std::string_view to_string(Backend backend);
 /// Which SIMD kernel family a session should pin (process-global; see
 /// SimulatorSpec::simd).
 enum class SimdChoice {
-  Auto,    ///< whatever active_simd_level() resolves (CPUID + env)
+  Auto,    ///< whatever active_simd_level() resolves (CPUID + env): the
+           ///< highest supported level, AVX-512 where present
   Scalar,  ///< force the portable scalar family
-  Avx2,    ///< request AVX2 (clamped to scalar when unavailable)
+  Avx2,    ///< pin AVX2, also on an AVX-512 host (same bits, 4 lanes);
+           ///< clamped to scalar when unavailable
 };
 
 /// Amplitude precision a spec requests. Auto defers to the QOKIT_PREC
@@ -69,7 +71,9 @@ enum class Prec {
 ///            | "exec="     ("serial" | "parallel")
 ///            | "ranks="    <int>                (dist only)
 ///            | "weight="   <int>                (Dicke weight, xy mixers)
-///            | "simd="     ("auto" | "scalar" | "avx2")
+///            | "simd="     ("auto" | "scalar" | "avx2")  (auto = the
+///                                              highest level, avx512
+///                                              where CPUID has it)
 ///            | "seed="     <uint64>             (sampling seed)
 ///            | "pipeline=" ("auto" | "on" | "off")
 ///            | "obs="      ("on" | "off")

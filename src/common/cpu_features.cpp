@@ -8,18 +8,26 @@
 namespace qokit {
 namespace {
 
-bool machine_has_avx2_fma() noexcept {
+bool machine_supports(SimdLevel level) noexcept {
 #if QOKIT_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
+  const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  switch (level) {
+    case SimdLevel::Scalar: return true;
+    case SimdLevel::Avx2: return avx2;
+    case SimdLevel::Avx512:
+      return avx2 && __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512dq");
+  }
   return false;
+#else
+  return level == SimdLevel::Scalar;
 #endif
 }
 
 SimdLevel clamp_to_available(SimdLevel level) noexcept {
-  if (level == SimdLevel::Avx2 &&
-      (!simd_level_compiled(SimdLevel::Avx2) || !machine_has_avx2_fma()))
-    return SimdLevel::Scalar;
+  while (level != SimdLevel::Scalar && !simd_level_supported(level))
+    level = static_cast<SimdLevel>(static_cast<int>(level) - 1);
   return level;
 }
 
@@ -50,6 +58,7 @@ const char* simd_level_name(SimdLevel level) noexcept {
   switch (level) {
     case SimdLevel::Scalar: return "scalar";
     case SimdLevel::Avx2: return "avx2";
+    case SimdLevel::Avx512: return "avx512";
   }
   return "unknown";
 }
@@ -57,14 +66,18 @@ const char* simd_level_name(SimdLevel level) noexcept {
 bool simd_level_compiled(SimdLevel level) noexcept {
   if (level == SimdLevel::Scalar) return true;
 #if QOKIT_SIMD_X86
-  return level == SimdLevel::Avx2;
+  return level == SimdLevel::Avx2 || level == SimdLevel::Avx512;
 #else
   return false;
 #endif
 }
 
+bool simd_level_supported(SimdLevel level) noexcept {
+  return simd_level_compiled(level) && machine_supports(level);
+}
+
 SimdLevel detect_simd_level() noexcept {
-  return clamp_to_available(SimdLevel::Avx2);
+  return clamp_to_available(SimdLevel::Avx512);
 }
 
 SimdLevel active_simd_level() noexcept {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -130,17 +131,25 @@ void dist_schedule(const VirtualRankWorld& world,
                    const double* costs, int n, int g,
                    std::span<const double> gammas,
                    std::span<const double> betas) {
+  static const obs::Histogram layer_hist = obs::histogram("qokit_layer_ns");
   world.run([&](Communicator& comm) {
     const std::uint64_t base = static_cast<std::uint64_t>(comm.rank()) * local;
     std::complex<T>* slice = data + base;
     const double* diag_slice = costs + base;
-    if (local_plan.active()) {
-      // Fused Algorithm 4: the rank-local phase + low-qubit mixing run as
-      // tiled passes over the slice, and after the alltoall reorder the
-      // swapped-in global qubits get the same strided tiling.
-      const pipeline::PhaseCtxT<T> ctx{.costs = diag_slice};
-      const std::uint64_t block = local >> g;
-      for (std::size_t l = 0; l < gammas.size(); ++l) {
+    const pipeline::PhaseCtxT<T> ctx{.costs = diag_slice};
+    const std::uint64_t block = local >> g;
+    for (std::size_t l = 0; l < gammas.size(); ++l) {
+      // One `layer` span per layer, from rank 0: the ranks move through a
+      // layer in lockstep (every alltoall is a barrier).
+      std::optional<obs::Span> span;
+      if (comm.rank() == 0) {
+        span.emplace("layer", layer_hist);
+        span->attr("layer", static_cast<std::int64_t>(l));
+      }
+      if (local_plan.active()) {
+        // Fused Algorithm 4: the rank-local phase + low-qubit mixing run
+        // as tiled passes over the slice, and after the alltoall reorder
+        // the swapped-in global qubits get the same strided tiling.
         pipeline::run_layer(local_plan, slice, local, ctx, gammas[l],
                             betas[l], Exec::Serial);
         if (g > 0) {
@@ -150,16 +159,14 @@ void dist_schedule(const VirtualRankWorld& world,
                               Exec::Serial);
           comm.alltoall(slice, block);
         }
+      } else {
+        // Algorithm 4, unfused (the pipeline's oracle): one local phase
+        // multiply against the cached slice and one distributed mixer
+        // (local qubits in place, global ones through the alltoall
+        // reordering).
+        apply_phase_slice(slice, diag_slice, local, gammas[l], Exec::Serial);
+        dist::apply_mixer_x(comm, slice, local, n, betas[l]);
       }
-      return;
-    }
-    // Algorithm 4, unfused (the pipeline's oracle): per layer one local
-    // phase multiply against the cached slice and one distributed mixer
-    // (local qubits in place, global ones through the alltoall
-    // reordering).
-    for (std::size_t l = 0; l < gammas.size(); ++l) {
-      apply_phase_slice(slice, diag_slice, local, gammas[l], Exec::Serial);
-      dist::apply_mixer_x(comm, slice, local, n, betas[l]);
     }
   });
 }

@@ -1,7 +1,9 @@
 #include "optimize/objective.hpp"
 
+#include <cmath>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 namespace qokit {
 
@@ -13,6 +15,13 @@ QaoaObjective::QaoaObjective(const QaoaFastSimulatorBase& sim, int p)
 double QaoaObjective::operator()(const std::vector<double>& x) const {
   if (static_cast<int>(x.size()) != 2 * p_)
     throw std::invalid_argument("QaoaObjective: expected 2p parameters");
+  // The batch step's check (batch/batch_eval.cpp), for the one schedule:
+  // a NaN or inf angle would come back as a silent NaN value.
+  for (int j = 0; j < 2 * p_; ++j)
+    if (!std::isfinite(x[j]))
+      throw std::invalid_argument(
+          std::string("QaoaObjective: ") + (j < p_ ? "gamma[" : "beta[") +
+          std::to_string(j % p_) + "] is not finite");
   ++evals_;
   const std::span<const double> gammas(x.data(), p_);
   const std::span<const double> betas(x.data() + p_, p_);

@@ -8,11 +8,12 @@
 //     shorter) — so the AVX2 kernels partition elements into the same
 //     absolute groups of 4 as dispatch.cpp's kSimdBlock blocks, and the
 //     same elements take the vector vs libm-fallback path.
-//  2. Butterfly kernels are called on pair ranges with even start and even
-//     length that never split a contiguous run mid-vector — so the same
-//     absolute pairs land in the same 2-pair vector groups and no pair
-//     falls to a (differently rounded) scalar tail in one decomposition
-//     but not the other.
+//  2. Butterflies go through butterfly_group, kGroupQubits qubits per
+//     call, over whole tiles or over row chunks of >= 4 columns that never
+//     cross a row — so each qubit's pairs form the same runs as in the
+//     unfused per-qubit calls, the same absolute pairs land in vector
+//     registers, and no pair falls to a (differently rounded) scalar tail
+//     in one decomposition but not the other (simd/butterfly_group.hpp).
 //
 // Given those, per-amplitude results depend only on (input values, qubit,
 // dispatch level) — not on traversal order — and each pass applies its
@@ -24,10 +25,10 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/bitops.hpp"
 #include "common/parallel.hpp"
 #include "fur/fwht.hpp"
 #include "obs/obs.hpp"
+#include "simd/butterfly_group.hpp"
 #include "simd/kernels.hpp"
 
 namespace qokit::pipeline {
@@ -109,19 +110,27 @@ void phase_unit(const simd::detail::KernelsT<T>& k, std::complex<T>* amp,
     k.phase(amp + base, ctx.costs + base, count, gamma);
 }
 
-/// One butterfly qubit over the contiguous tile [base, base+count): for
-/// q < log2(count) and base a multiple of count, the pair indices covering
-/// exactly this tile are [base/2, (base+count)/2).
+/// Qubits per butterfly_group call: a radix-8 register block.
+constexpr int kGroupQubits = 3;
+
+simd::detail::Butterfly kind_of(PassButterfly butterfly) {
+  return butterfly == PassButterfly::Rx ? simd::detail::Butterfly::Rx
+                                        : simd::detail::Butterfly::Hadamard;
+}
+
+/// Butterflies on qubits [q, q_end) over the contiguous tile
+/// [base, base+count), kGroupQubits per load/store: for q_end <=
+/// log2(count) and base a multiple of count, the groups covering exactly
+/// this tile are [base >> m, (base + count) >> m).
 template <class T>
 void butterfly_tile(const simd::detail::KernelsT<T>& k, std::complex<T>* amp,
-                    std::uint64_t base, std::uint64_t count, int q,
+                    std::uint64_t base, std::uint64_t count, int q, int q_end,
                     PassButterfly butterfly, double c, double s) {
-  const std::uint64_t kb = base >> 1;
-  const std::uint64_t ke = (base + count) >> 1;
-  if (butterfly == PassButterfly::Rx)
-    k.rx_pairs(amp, q, kb, ke, c, s);
-  else
-    k.hadamard_pairs(amp, q, kb, ke);
+  for (int m; q < q_end; q += m) {
+    m = std::min(kGroupQubits, q_end - q);
+    k.butterfly_group(amp, q, m, base >> m, (base + count) >> m,
+                      kind_of(butterfly), c, s);
+  }
 }
 
 template <class T>
@@ -151,8 +160,8 @@ void run_tile_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
                   phase_unit(k, amp, ctx, base, tile, gamma);
                 }
               }
-              for (; q < p.q_end; ++q)
-                butterfly_tile(k, amp, base, tile, q, p.butterfly, c, s);
+              butterfly_tile(k, amp, base, tile, q, p.q_end, p.butterfly, c,
+                             s);
               if (p.post == PassPhase::Popcount)
                 k.phase_popcount(amp + base, base, tile, pop_table);
               if (red)
@@ -179,19 +188,20 @@ void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
         const std::uint64_t blk = static_cast<std::uint64_t>(u / cols) << b;
         const std::uint64_t col = static_cast<std::uint64_t>(u % cols)
                                   << p.width_log2;
-        // All g butterflies on the cache-resident 2^g-row working set;
-        // partners for qubit q = a + j are rows r and r | 2^j, both inside
-        // the set, so ascending-q order sees exactly the unfused dataflow.
-        for (int q = a; q < b; ++q) {
-          const std::uint64_t rbit = 1ull << (q - a);
+        // All g butterflies on the cache-resident 2^g-row working set,
+        // kGroupQubits at a time: the partners for qubit q = a + j are rows
+        // r and r | 2^j, both inside the set, so ascending-q order sees
+        // exactly the unfused dataflow. Each call covers the 2^m rows that
+        // differ only in the group's row bits, `chunk` columns wide.
+        for (int q = a, m; q < b; q += m) {
+          m = std::min(kGroupQubits, b - q);
+          const std::uint64_t rbits = ((1ull << m) - 1) << (q - a);
           for (std::uint64_t r = 0; r < rows; ++r) {
-            if (r & rbit) continue;
-            const std::uint64_t i0 = blk + r * row + col;
-            const std::uint64_t kb = remove_bit(i0, q);
-            if (p.butterfly == PassButterfly::Rx)
-              k.rx_pairs(amp, q, kb, kb + chunk, c, s);
-            else
-              k.hadamard_pairs(amp, q, kb, kb + chunk);
+            if (r & rbits) continue;
+            const std::uint64_t g0 =
+                simd::detail::group_index(blk + r * row + col, q, m);
+            k.butterfly_group(amp, q, m, g0, g0 + chunk,
+                              kind_of(p.butterfly), c, s);
           }
         }
         if (p.post == PassPhase::Popcount)

@@ -5,8 +5,11 @@
 // variants), the fused single-qubit mixer butterflies (rx, hadamard), and
 // the expectation / norm / ground-overlap reductions. Each kernel exists in
 // a scalar family (kernels_scalar.cpp, portable C++) and an AVX2+FMA family
-// (kernels_avx2.cpp, compiled only under QOKIT_SIMD on x86-64); dispatch is
-// chosen once per process via CPUID (common/cpu_features.hpp).
+// (kernels_avx2.cpp, compiled only under QOKIT_SIMD on x86-64). An AVX-512
+// level (kernels_avx512.cpp) reuses the AVX2 table and replaces its f64
+// hot entries -- phase, phase_rx, rx_pairs, butterfly_group -- with 8-lane
+// versions that match AVX2 bit for bit. Dispatch is chosen once per
+// process via CPUID (common/cpu_features.hpp).
 //
 // Precision: every kernel exists for both amplitude widths — cdouble (the
 // default and oracle) and cfloat (the bandwidth-halving mixed-precision
@@ -106,6 +109,10 @@ double overlap_ground(const cfloat* amp, const double* costs,
 
 namespace detail {
 
+/// Which butterfly a butterfly_group call applies. Hadamard ignores the
+/// c/s coefficients.
+enum class Butterfly { Rx, Hadamard };
+
 /// One kernel family at amplitude scalar T: block-range entry points the
 /// dispatcher drives. Elementwise/reduction kernels receive already-offset
 /// pointers and a count; butterfly kernels receive the full array plus a
@@ -130,6 +137,14 @@ struct KernelsT {
                    double c, double s);
   void (*hadamard_pairs)(C* x, int qubit, std::uint64_t kb,
                          std::uint64_t ke);
+  /// Butterflies on qubits [q, q + m), 1 <= m <= 3, in ascending order,
+  /// over the groups [gb, ge) (group indexing: simd/butterfly_group.hpp;
+  /// for m = 1 a group is a pair). Bit for bit the per-qubit rx_pairs /
+  /// hadamard_pairs calls over the same amplitudes; the vector families
+  /// load and store each 2^m-amplitude group once instead of m times.
+  void (*butterfly_group)(C* x, int q, int m, std::uint64_t gb,
+                          std::uint64_t ge, Butterfly kind, double c,
+                          double s);
   double (*expectation)(const C* amp, const double* costs,
                         std::uint64_t count);
   double (*expectation_u16)(const C* amp, const std::uint16_t* codes,
@@ -147,6 +162,10 @@ extern const KernelsF32 scalar_kernels_f32;
 #if QOKIT_SIMD_X86
 extern const Kernels avx2_kernels;
 extern const KernelsF32 avx2_kernels_f32;
+/// The AVX-512 level's f64 family: the AVX2 table with the 8-lane entries
+/// swapped in, built on first use (it copies avx2_kernels). Its f32
+/// family is avx2_kernels_f32.
+const Kernels& avx512_kernels() noexcept;
 #endif
 
 /// Family for the current active_simd_level().

@@ -16,41 +16,19 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/bitops.hpp"
+#include "simd/butterfly_group.hpp"
+#include "simd/sincos_coeffs.hpp"
 
 namespace qokit {
 namespace simd {
 namespace {
 
 // ------------------------------------------------------------- sin/cos
-// Three-term Cody–Waite split of pi/2 (Cephes DP1..DP3 doubled). Each
-// k*DPx product is formed inside a single-rounding fnmadd, so the
-// reduction error is dominated by the residual pi/2 - (DP1+DP2+DP3)
-// (~3e-22): at the kHugeAngle bound (|k| ~ 6.4e8) the reduced argument is
-// off by at most ~2e-13 absolute, inside the layer's 1e-12 parity budget;
-// for the |angle| <~ 1e4 regime real gammas produce it is ~1e-18.
-constexpr double kDP1 = 1.57079625129699707031e+00;
-constexpr double kDP2 = 7.54978941586159635335e-08;
-constexpr double kDP3 = 5.39030285815811905290e-15;
-constexpr double kTwoOverPi = 6.36619772367581382433e-01;
-// Beyond this magnitude the int32 quadrant index could overflow; the caller
-// falls back to libm for the whole 4-lane group (never hit by sane gammas).
-constexpr double kHugeAngle = 1.0e9;
-
-// Cephes minimax coefficients for sin/cos on |r| <= pi/4 (highest first).
-constexpr double kSinCof[6] = {
-    1.58962301576546568060e-10, -2.50507477628578072866e-8,
-    2.75573136213857245213e-6,  -1.98412698295895385996e-4,
-    8.33333333332211858878e-3,  -1.66666666666666307295e-1,
-};
-constexpr double kCosCof[6] = {
-    -1.13585365213876817300e-11, 2.08757008419747316778e-9,
-    -2.75573141792967388112e-7,  2.48015872888517179954e-5,
-    -1.38888888888730564116e-3,  4.16666666666665929218e-2,
-};
+// Constants shared with the AVX-512 family (simd/sincos_coeffs.hpp).
+using namespace sincos;
 
 inline __m256d poly6(__m256d z, const double (&c)[6]) {
   __m256d p = _mm256_set1_pd(c[0]);
@@ -240,87 +218,78 @@ void phase_popcount_avx2(cdouble* amp, std::uint64_t index_base,
   for (; i < count; ++i) amp[i] *= table[popcount(index_base + i)];
 }
 
+// ------------------------------------------------------------ butterflies
+// Register ops for the radix traversal (simd/butterfly_group.hpp), which
+// is also the per-qubit kernel (m = 1). One register holds two complexes,
+// so qubit 0 pairs within a register and qubits >= 1 across registers.
+// Odd-pair remainders go to the scalar family (a local loop here would
+// FMA-contract).
+
+struct Avx2F64 {
+  using T = double;
+  using V = __m256d;
+  struct Coef {
+    V c, s, nodd;
+  };
+  static constexpr int kLog2W = 1;
+  static constexpr bool in_register(int) { return true; }
+  static V load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  template <detail::Butterfly K>
+  static Coef coef(double c, double s) {
+    if constexpr (K == detail::Butterfly::Hadamard)
+      return {_mm256_set1_pd(0.70710678118654752440), V{}, V{}};
+    return {_mm256_set1_pd(c), _mm256_set1_pd(s), neg_odd()};
+  }
+  /// Rx: y0 = c x0 - i s x1, y1 = c x1 - i s x0, with -i x as the
+  /// [im, -re] swap; H: y0 = (x0 + x1) k, y1 = (x0 - x1) k.
+  template <detail::Butterfly K>
+  static void cross(V& a, V& b, const Coef& k) {
+    if constexpr (K == detail::Butterfly::Rx) {
+      const V mb = _mm256_xor_pd(_mm256_permute_pd(b, 0x5), k.nodd);
+      const V ma = _mm256_xor_pd(_mm256_permute_pd(a, 0x5), k.nodd);
+      a = _mm256_fmadd_pd(k.c, a, _mm256_mul_pd(k.s, mb));
+      b = _mm256_fmadd_pd(k.c, b, _mm256_mul_pd(k.s, ma));
+    } else {
+      const V sum =
+          detail::no_contract(_mm256_mul_pd(_mm256_add_pd(a, b), k.c));
+      b = detail::no_contract(_mm256_mul_pd(_mm256_sub_pd(a, b), k.c));
+      a = sum;
+    }
+  }
+  /// Qubit 0: the register is the pair [r0, i0, r1, i1].
+  template <detail::Butterfly K>
+  static V in_reg(V a, int, const Coef& k) {
+    if constexpr (K == detail::Butterfly::Rx) {
+      // Cross-partner operand [i1, -r1, i0, -r0]: lane reversal + sign.
+      const V m = _mm256_xor_pd(_mm256_permute4x64_pd(a, 0x1B), k.nodd);
+      return _mm256_fmadd_pd(k.c, a, _mm256_mul_pd(k.s, m));
+    }
+    // Lanes 0-1: x0 + x1; lanes 2-3: x0 - x1 (b - a has the partner first
+    // in the high half, giving the required x0 - x1 order).
+    const V b = _mm256_permute2f128_pd(a, a, 0x01);
+    return detail::no_contract(_mm256_mul_pd(
+        _mm256_blend_pd(_mm256_add_pd(a, b), _mm256_sub_pd(b, a), 0xC), k.c));
+  }
+  static void tail(detail::Butterfly kind, cdouble* x, int qubit,
+                   std::uint64_t kb, std::uint64_t ke, double c, double s) {
+    if (kind == detail::Butterfly::Rx)
+      detail::scalar_kernels.rx_pairs(x, qubit, kb, ke, c, s);
+    else
+      detail::scalar_kernels.hadamard_pairs(x, qubit, kb, ke);
+  }
+};
+
 void rx_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb, std::uint64_t ke,
                    double c, double s) {
-  const __m256d vc = _mm256_set1_pd(c);
-  const __m256d vs = _mm256_set1_pd(s);
-  const __m256d nodd = neg_odd();
-  double* d = reinterpret_cast<double*>(x);
-  if (qubit == 0) {
-    // Pair (x0, x1) is one register: [r0, i0, r1, i1]. The cross-partner
-    // operand [i1, -r1, i0, -r0] is a full-register lane reversal + sign.
-    for (std::uint64_t k = kb; k < ke; ++k) {
-      const __m256d a = _mm256_loadu_pd(d + 4 * k);
-      const __m256d m =
-          _mm256_xor_pd(_mm256_permute4x64_pd(a, 0x1B), nodd);
-      _mm256_storeu_pd(d + 4 * k,
-                       _mm256_fmadd_pd(vc, a, _mm256_mul_pd(vs, m)));
-    }
-    return;
-  }
-  // qubit >= 1: pairs form two contiguous streams of `stride` amplitudes.
-  const std::uint64_t stride = 1ull << qubit;
-  std::uint64_t k = kb;
-  while (k < ke) {
-    const std::uint64_t off = k & (stride - 1);
-    const std::uint64_t run = std::min(ke - k, stride - off);
-    double* p0 = reinterpret_cast<double*>(x + insert_zero_bit(k, qubit));
-    double* p1 = p0 + 2 * stride;
-    std::uint64_t j = 0;
-    for (; j + 2 <= run; j += 2) {
-      const __m256d a = _mm256_loadu_pd(p0 + 2 * j);
-      const __m256d b = _mm256_loadu_pd(p1 + 2 * j);
-      const __m256d mb = _mm256_xor_pd(_mm256_permute_pd(b, 0x5), nodd);
-      const __m256d ma = _mm256_xor_pd(_mm256_permute_pd(a, 0x5), nodd);
-      _mm256_storeu_pd(p0 + 2 * j,
-                       _mm256_fmadd_pd(vc, a, _mm256_mul_pd(vs, mb)));
-      _mm256_storeu_pd(p1 + 2 * j,
-                       _mm256_fmadd_pd(vc, b, _mm256_mul_pd(vs, ma)));
-    }
-    // Odd-pair remainder: delegate to the scalar family (same tail policy
-    // as the phase kernel — a local loop here would FMA-contract).
-    if (j < run) detail::scalar_kernels.rx_pairs(x, qubit, k + j, k + run, c, s);
-    k += run;
-  }
+  detail::RadixGroup<Avx2F64>::run(x, qubit, 1, kb, ke, detail::Butterfly::Rx,
+                                   c, s);
 }
 
 void hadamard_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb,
                          std::uint64_t ke) {
-  constexpr double kInvSqrt2 = 0.70710678118654752440;
-  const __m256d vk = _mm256_set1_pd(kInvSqrt2);
-  double* d = reinterpret_cast<double*>(x);
-  if (qubit == 0) {
-    for (std::uint64_t k = kb; k < ke; ++k) {
-      const __m256d a = _mm256_loadu_pd(d + 4 * k);
-      const __m256d b = _mm256_permute2f128_pd(a, a, 0x01);
-      // Lanes 0-1: x0 + x1; lanes 2-3: x0 - x1 (note b - a has the partner
-      // first in the high half, giving the required x0 - x1 order).
-      const __m256d out = _mm256_blend_pd(_mm256_add_pd(a, b),
-                                          _mm256_sub_pd(b, a), 0xC);
-      _mm256_storeu_pd(d + 4 * k, _mm256_mul_pd(out, vk));
-    }
-    return;
-  }
-  const std::uint64_t stride = 1ull << qubit;
-  std::uint64_t k = kb;
-  while (k < ke) {
-    const std::uint64_t off = k & (stride - 1);
-    const std::uint64_t run = std::min(ke - k, stride - off);
-    double* p0 = reinterpret_cast<double*>(x + insert_zero_bit(k, qubit));
-    double* p1 = p0 + 2 * stride;
-    std::uint64_t j = 0;
-    for (; j + 2 <= run; j += 2) {
-      const __m256d a = _mm256_loadu_pd(p0 + 2 * j);
-      const __m256d b = _mm256_loadu_pd(p1 + 2 * j);
-      _mm256_storeu_pd(p0 + 2 * j,
-                       _mm256_mul_pd(_mm256_add_pd(a, b), vk));
-      _mm256_storeu_pd(p1 + 2 * j,
-                       _mm256_mul_pd(_mm256_sub_pd(a, b), vk));
-    }
-    if (j < run)
-      detail::scalar_kernels.hadamard_pairs(x, qubit, k + j, k + run);
-    k += run;
-  }
+  detail::RadixGroup<Avx2F64>::run(x, qubit, 1, kb, ke,
+                                   detail::Butterfly::Hadamard, 0.0, 0.0);
 }
 
 // ------------------------------------------------------------ reductions
@@ -546,88 +515,75 @@ void phase_popcount_avx2_f32(cfloat* amp, std::uint64_t index_base,
   for (; i < count; ++i) amp[i] *= table[popcount(index_base + i)];
 }
 
+// Four complexes per register: qubit 0 pairs within each 128-bit lane
+// and qubits >= 2 across registers. Qubit 1 has no in-register butterfly
+// and runs through the scalar family, as do remainders.
+struct Avx2F32 {
+  using T = float;
+  using V = __m256;
+  struct Coef {
+    V c, s, nodd;
+  };
+  static constexpr int kLog2W = 2;
+  static constexpr bool in_register(int level) { return level == 0; }
+  static V load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  template <detail::Butterfly K>
+  static Coef coef(double c, double s) {
+    if constexpr (K == detail::Butterfly::Hadamard)
+      return {_mm256_set1_ps(0.70710678118654752440f), V{}, V{}};
+    return {_mm256_set1_ps(static_cast<float>(c)),
+            _mm256_set1_ps(static_cast<float>(s)), neg_odd_ps()};
+  }
+  template <detail::Butterfly K>
+  static void cross(V& a, V& b, const Coef& k) {
+    if constexpr (K == detail::Butterfly::Rx) {
+      const V mb = _mm256_xor_ps(_mm256_permute_ps(b, 0xB1), k.nodd);
+      const V ma = _mm256_xor_ps(_mm256_permute_ps(a, 0xB1), k.nodd);
+      a = _mm256_fmadd_ps(k.c, a, _mm256_mul_ps(k.s, mb));
+      b = _mm256_fmadd_ps(k.c, b, _mm256_mul_ps(k.s, ma));
+    } else {
+      const V sum =
+          detail::no_contract(_mm256_mul_ps(_mm256_add_ps(a, b), k.c));
+      b = detail::no_contract(_mm256_mul_ps(_mm256_sub_ps(a, b), k.c));
+      a = sum;
+    }
+  }
+  /// Qubit 0 (the only in_register level): each 128-bit lane is one pair
+  /// [r0, i0, r1, i1].
+  template <detail::Butterfly K>
+  static V in_reg(V a, int, const Coef& k) {
+    if constexpr (K == detail::Butterfly::Rx) {
+      // Cross-partner operand [i1, -r1, i0, -r0]: within-lane reversal.
+      const V m = _mm256_xor_ps(_mm256_permute_ps(a, 0x1B), k.nodd);
+      return _mm256_fmadd_ps(k.c, a, _mm256_mul_ps(k.s, m));
+    }
+    // Swap the two complexes within each lane; blend keeps x0 + x1 in the
+    // low complex and takes x0 - x1 (partner-first b - a) in the high one.
+    const V b = _mm256_permute_ps(a, 0x4E);
+    return detail::no_contract(_mm256_mul_ps(
+        _mm256_blend_ps(_mm256_add_ps(a, b), _mm256_sub_ps(b, a), 0xCC),
+        k.c));
+  }
+  static void tail(detail::Butterfly kind, cfloat* x, int qubit,
+                   std::uint64_t kb, std::uint64_t ke, double c, double s) {
+    if (kind == detail::Butterfly::Rx)
+      detail::scalar_kernels_f32.rx_pairs(x, qubit, kb, ke, c, s);
+    else
+      detail::scalar_kernels_f32.hadamard_pairs(x, qubit, kb, ke);
+  }
+};
+
 void rx_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
                        std::uint64_t ke, double c, double s) {
-  const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
-  const __m256 vs = _mm256_set1_ps(static_cast<float>(s));
-  const __m256 nodd = neg_odd_ps();
-  float* d = reinterpret_cast<float*>(x);
-  if (qubit == 0) {
-    // Two pairs per register; each pair is one 128-bit lane [r0,i0,r1,i1]
-    // whose cross-partner operand is a within-lane reversal + sign.
-    std::uint64_t k = kb;
-    for (; k + 2 <= ke; k += 2) {
-      const __m256 a = _mm256_loadu_ps(d + 4 * k);
-      const __m256 m = _mm256_xor_ps(_mm256_permute_ps(a, 0x1B), nodd);
-      _mm256_storeu_ps(d + 4 * k,
-                       _mm256_fmadd_ps(vc, a, _mm256_mul_ps(vs, m)));
-    }
-    if (k < ke) detail::scalar_kernels_f32.rx_pairs(x, qubit, k, ke, c, s);
-    return;
-  }
-  // qubit >= 1: pairs form two contiguous streams of `stride` amplitudes.
-  const std::uint64_t stride = 1ull << qubit;
-  std::uint64_t k = kb;
-  while (k < ke) {
-    const std::uint64_t off = k & (stride - 1);
-    const std::uint64_t run = std::min(ke - k, stride - off);
-    float* p0 = reinterpret_cast<float*>(x + insert_zero_bit(k, qubit));
-    float* p1 = p0 + 2 * stride;
-    std::uint64_t j = 0;
-    for (; j + 4 <= run; j += 4) {
-      const __m256 a = _mm256_loadu_ps(p0 + 2 * j);
-      const __m256 b = _mm256_loadu_ps(p1 + 2 * j);
-      const __m256 mb = _mm256_xor_ps(_mm256_permute_ps(b, 0xB1), nodd);
-      const __m256 ma = _mm256_xor_ps(_mm256_permute_ps(a, 0xB1), nodd);
-      _mm256_storeu_ps(p0 + 2 * j,
-                       _mm256_fmadd_ps(vc, a, _mm256_mul_ps(vs, mb)));
-      _mm256_storeu_ps(p1 + 2 * j,
-                       _mm256_fmadd_ps(vc, b, _mm256_mul_ps(vs, ma)));
-    }
-    if (j < run)
-      detail::scalar_kernels_f32.rx_pairs(x, qubit, k + j, k + run, c, s);
-    k += run;
-  }
+  detail::RadixGroup<Avx2F32>::run(x, qubit, 1, kb, ke, detail::Butterfly::Rx,
+                                   c, s);
 }
 
 void hadamard_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
                              std::uint64_t ke) {
-  constexpr float kInvSqrt2f = 0.70710678118654752440f;
-  const __m256 vk = _mm256_set1_ps(kInvSqrt2f);
-  float* d = reinterpret_cast<float*>(x);
-  if (qubit == 0) {
-    std::uint64_t k = kb;
-    for (; k + 2 <= ke; k += 2) {
-      const __m256 a = _mm256_loadu_ps(d + 4 * k);
-      // Swap the two complexes within each lane; blend keeps x0 + x1 in
-      // the low complex and takes x0 - x1 (partner-first b - a) in the
-      // high one.
-      const __m256 b = _mm256_permute_ps(a, 0x4E);
-      const __m256 out = _mm256_blend_ps(_mm256_add_ps(a, b),
-                                         _mm256_sub_ps(b, a), 0xCC);
-      _mm256_storeu_ps(d + 4 * k, _mm256_mul_ps(out, vk));
-    }
-    if (k < ke) detail::scalar_kernels_f32.hadamard_pairs(x, qubit, k, ke);
-    return;
-  }
-  const std::uint64_t stride = 1ull << qubit;
-  std::uint64_t k = kb;
-  while (k < ke) {
-    const std::uint64_t off = k & (stride - 1);
-    const std::uint64_t run = std::min(ke - k, stride - off);
-    float* p0 = reinterpret_cast<float*>(x + insert_zero_bit(k, qubit));
-    float* p1 = p0 + 2 * stride;
-    std::uint64_t j = 0;
-    for (; j + 4 <= run; j += 4) {
-      const __m256 a = _mm256_loadu_ps(p0 + 2 * j);
-      const __m256 b = _mm256_loadu_ps(p1 + 2 * j);
-      _mm256_storeu_ps(p0 + 2 * j, _mm256_mul_ps(_mm256_add_ps(a, b), vk));
-      _mm256_storeu_ps(p1 + 2 * j, _mm256_mul_ps(_mm256_sub_ps(a, b), vk));
-    }
-    if (j < run)
-      detail::scalar_kernels_f32.hadamard_pairs(x, qubit, k + j, k + run);
-    k += run;
-  }
+  detail::RadixGroup<Avx2F32>::run(x, qubit, 1, kb, ke,
+                                   detail::Butterfly::Hadamard, 0.0, 0.0);
 }
 
 // f32 reductions: widen each 128-bit half of the four loaded complexes to
@@ -723,6 +679,7 @@ const Kernels avx2_kernels = {
     .phase_rx = phase_rx_avx2,
     .rx_pairs = rx_pairs_avx2,
     .hadamard_pairs = hadamard_pairs_avx2,
+    .butterfly_group = detail::RadixGroup<Avx2F64>::run,
     .expectation = expectation_avx2,
     .expectation_u16 = expectation_u16_avx2,
     .norm_squared = norm_squared_avx2,
@@ -736,6 +693,7 @@ const KernelsF32 avx2_kernels_f32 = {
     .phase_rx = phase_rx_avx2_f32,
     .rx_pairs = rx_pairs_avx2_f32,
     .hadamard_pairs = hadamard_pairs_avx2_f32,
+    .butterfly_group = detail::RadixGroup<Avx2F32>::run,
     .expectation = expectation_avx2_f32,
     .expectation_u16 = expectation_u16_avx2_f32,
     .norm_squared = norm_squared_avx2_f32,

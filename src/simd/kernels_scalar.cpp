@@ -15,6 +15,7 @@
 #include <type_traits>
 
 #include "common/bitops.hpp"
+#include "simd/butterfly_group.hpp"
 #include "simd/kernels.hpp"
 
 namespace qokit {
@@ -105,6 +106,21 @@ void hadamard_pairs_scalar(std::complex<T>* x, int qubit, std::uint64_t kb,
   }
 }
 
+/// The group entry as m per-qubit pair loops -- the definition the vector
+/// families' register-blocked traversal reproduces.
+template <class T>
+void butterfly_group_scalar(std::complex<T>* x, int q, int m,
+                            std::uint64_t gb, std::uint64_t ge,
+                            detail::Butterfly kind, double c, double s) {
+  detail::group_per_qubit(
+      q, m, gb, ge, [&](int qubit, std::uint64_t kb, std::uint64_t ke) {
+        if (kind == detail::Butterfly::Rx)
+          rx_pairs_scalar(x, qubit, kb, ke, c, s);
+        else
+          hadamard_pairs_scalar(x, qubit, kb, ke);
+      });
+}
+
 /// |amp[i]|^2 widened to double before the squares — the one sanctioned
 /// pattern for touching f32 amplitudes in a reduction.
 template <class T>
@@ -163,6 +179,7 @@ const Kernels scalar_kernels = {
     .phase_rx = phase_rx_scalar<double>,
     .rx_pairs = rx_pairs_scalar<double>,
     .hadamard_pairs = hadamard_pairs_scalar<double>,
+    .butterfly_group = butterfly_group_scalar<double>,
     .expectation = expectation_scalar<double>,
     .expectation_u16 = expectation_u16_scalar<double>,
     .norm_squared = norm_squared_scalar<double>,
@@ -176,6 +193,7 @@ const KernelsF32 scalar_kernels_f32 = {
     .phase_rx = phase_rx_scalar<float>,
     .rx_pairs = rx_pairs_scalar<float>,
     .hadamard_pairs = hadamard_pairs_scalar<float>,
+    .butterfly_group = butterfly_group_scalar<float>,
     .expectation = expectation_scalar<float>,
     .expectation_u16 = expectation_u16_scalar<float>,
     .norm_squared = norm_squared_scalar<float>,

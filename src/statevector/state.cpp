@@ -2,11 +2,27 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/bitops.hpp"
 #include "simd/kernels.hpp"
 
 namespace qokit {
+
+void check_qubit_limit(int num_qubits, Precision prec) {
+  if (num_qubits <= kMaxQubits) return;
+  // 8 diagonal bytes plus one amplitude per basis state.
+  const std::uint64_t per_amp = sizeof(double) + amplitude_bytes(prec);
+  const std::string bytes =
+      num_qubits < 59 ? std::to_string(per_amp << num_qubits) + " bytes"
+                      : "more than 2^64 bytes";
+  throw std::invalid_argument(
+      "simulator: " + std::to_string(num_qubits) +
+      " qubits exceed the limit of " + std::to_string(kMaxQubits) +
+      "; the cost diagonal and one " +
+      (prec == Precision::F32 ? "f32" : "f64") + " state would need " +
+      bytes);
+}
 
 StateVector::StateVector(int num_qubits, Precision prec)
     : n_(num_qubits), prec_(prec) {

@@ -46,6 +46,12 @@ inline constexpr std::uint64_t amplitude_bytes(Precision p) noexcept {
 /// amplitudes = 256 GiB); also sizes fixed per-weight tables (fwht mixer).
 inline constexpr int kMaxQubits = 34;
 
+/// Throws std::invalid_argument when an n-qubit simulator is over
+/// kMaxQubits, naming n, the limit and the bytes its cost diagonal plus one
+/// state at `prec` would need. make_simulator calls it before allocating
+/// anything, so an oversized problem never surfaces as std::bad_alloc.
+void check_qubit_limit(int num_qubits, Precision prec);
+
 /// Owning 2^n-amplitude state vector.
 class StateVector {
  public:

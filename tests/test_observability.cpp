@@ -12,6 +12,7 @@
 
 #include "api/qokit.hpp"
 #include "obs/obs.hpp"
+#include "support/simd_levels.hpp"
 
 namespace {
 
@@ -440,6 +441,19 @@ TEST_F(ObsTest, BatchTimingsArePerItem) {
       find_histogram(snap, "qokit_reduce_ns");
   ASSERT_NE(reduces, nullptr);
   EXPECT_EQ(reduces->count, 1u);
+  // dist (from rank 0) and gatesim (one circuit per layer) open the same
+  // per-layer span.
+  for (const char* spec : {"dist:2", "gatesim"}) {
+    SCOPED_TRACE(spec);
+    const api::ProblemSession other = labs_session(spec);
+    obs::reset();
+    other.evaluate(linear_ramp(3));
+    const obs::Snapshot other_snap = obs::snapshot();
+    const obs::HistogramSnapshot* other_layers =
+        find_histogram(other_snap, "qokit_layer_ns");
+    ASSERT_NE(other_layers, nullptr);
+    EXPECT_EQ(other_layers->count, 3u);
+  }
 
   // The engine-level switch: timing vectors only materialize on request.
   BatchOptions opts;
@@ -450,6 +464,30 @@ TEST_F(ObsTest, BatchTimingsArePerItem) {
   const BatchResult timed = s.batch().evaluate(batch, opts);
   EXPECT_EQ(timed.simulate_ns.size(), batch.size());
   EXPECT_EQ(timed.reduce_ns.size(), batch.size());
+}
+
+TEST_F(ObsTest, KernelCallsCountAgainstTheActiveLevel) {
+  // One dispatch counter per level; the qokit_simd_level gauge holds the
+  // level's value (0 scalar, 1 avx2, 2 avx512).
+  qokit::testing::SimdLevelGuard guard;
+  obs::set_enabled(true);
+  const StateVector sv = StateVector::plus_state(6);
+  for (const SimdLevel level : qokit::testing::supported_simd_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
+    force_simd_level(level);
+    obs::reset();
+    sv.norm_squared(Exec::Serial);
+    const obs::Snapshot snap = obs::snapshot();
+    for (const SimdLevel other :
+         {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512})
+      EXPECT_EQ(counter_value(snap, std::string("qokit_kernel_calls_") +
+                                        simd_level_name(other) + "_total"),
+                other == level ? 1u : 0u);
+    double gauge = -1.0;
+    for (const auto& [name, value] : snap.gauges)
+      if (name == "qokit_simd_level") gauge = value;
+    EXPECT_EQ(gauge, static_cast<double>(level));
+  }
 }
 
 TEST_F(ObsTest, TimingsAndObsNeverChangeResults) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "optimize/objective.hpp"
 #include "optimize/params.hpp"
@@ -143,6 +145,27 @@ TEST(Objective, RejectsWrongParameterCount) {
   const FurQaoaSimulator sim(terms, {});
   QaoaObjective obj(sim, 2);
   EXPECT_THROW(obj({0.1, 0.2, 0.3}), std::invalid_argument);
+}
+
+TEST(Objective, RejectsNonFiniteAngles) {
+  // Same wording as the batch step's check: name the angle and its index.
+  const TermList terms = maxcut_terms(Graph::random_regular(6, 3, 5));
+  const FurQaoaSimulator sim(terms, {});
+  QaoaObjective obj(sim, 2);
+  const auto message = [&](const std::vector<double>& x) {
+    try {
+      obj(x);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_NE(message({0.1, std::nan(""), 0.3, 0.4}).find("gamma[1]"),
+            std::string::npos);
+  EXPECT_NE(message({0.1, 0.2, -inf, 0.4}).find("beta[0]"),
+            std::string::npos);
+  EXPECT_EQ(obj.evaluations(), 0);
 }
 
 TEST(Objective, OptimizationImprovesOverRampStart) {

@@ -14,16 +14,13 @@
 #include "api/qokit.hpp"
 #include "common/cpu_features.hpp"
 #include "pipeline/layer_exec.hpp"
+#include "support/simd_levels.hpp"
 
 namespace qokit {
 namespace {
 
-/// Restore the detected dispatch level when a test that forces levels
-/// exits (same guard idiom as test_simd_kernels.cpp).
-struct SimdLevelGuard {
-  SimdLevel entry = active_simd_level();
-  ~SimdLevelGuard() { force_simd_level(entry); }
-};
+using testing::SimdLevelGuard;
+using testing::supported_simd_levels;
 
 /// Deterministic random problem per seed, cycling families (the
 /// cross-validation idiom).
@@ -74,7 +71,8 @@ TEST_P(PipelineCrossValidationTest, FusedEqualsUnfusedOnEveryBackend) {
   int n = 0;
   const TermList terms = random_problem(seed, &n);
   SimdLevelGuard guard;
-  for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
+  for (const SimdLevel level : supported_simd_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
     force_simd_level(level);
     for (const char* name :
          {"serial", "threaded", "auto:exec=serial", "u16", "fwht",
@@ -117,7 +115,8 @@ void expect_tiling_identical(int n, int tile_log2, int group_qubits,
 
 TEST(PipelineTiling, TileBoundaryEdgeCases) {
   SimdLevelGuard guard;
-  for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
+  for (const SimdLevel level : supported_simd_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
     force_simd_level(level);
     for (const Exec exec : {Exec::Serial, Exec::Parallel}) {
       expect_tiling_identical(3, 4, 2, 2, false, MixerBackend::Fused,
@@ -326,7 +325,8 @@ TEST(PipelineFusedExpectation, SessionMatchesTheTwoPassOracle) {
   // QOKIT_PIPELINE=off cannot disable the plan.
   const QaoaParams sched = test_schedule();
   SimdLevelGuard guard;
-  for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
+  for (const SimdLevel level : supported_simd_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
     force_simd_level(level);
     for (const char* name :
          {"auto:pipeline=on", "serial:pipeline=on", "threaded:pipeline=on",

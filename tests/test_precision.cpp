@@ -24,16 +24,13 @@
 #include "obs/obs.hpp"
 #include "serve/session_cache.hpp"
 #include "statevector/sampling.hpp"
+#include "support/simd_levels.hpp"
 
 namespace qokit {
 namespace {
 
-/// Restores the dispatch level that was active at test entry (which may be
-/// a QOKIT_SIMD=scalar override, not the detected level).
-struct SimdLevelGuard {
-  SimdLevel entry = active_simd_level();
-  ~SimdLevelGuard() { force_simd_level(entry); }
-};
+using testing::SimdLevelGuard;
+using testing::supported_simd_levels;
 
 /// Saves and restores one environment variable across a test that has to
 /// own it (the CI prec=f32 leg exports QOKIT_PREC for the whole binary).
@@ -241,15 +238,25 @@ TEST(PrecisionDeterminism, SimdLevelsAgreeAndAreInternallyBitStable) {
   EXPECT_EQ(scalar_r.max_abs_diff(scalar_r2), 0.0);
   const double scalar_e = scalar_sim.get_expectation(scalar_r);
 
-  force_simd_level(detect_simd_level());
-  const FurQaoaSimulator vec_sim(terms, cfg);
-  const StateVector vec_r = vec_sim.simulate_qaoa(g, b);
-  const StateVector vec_r2 = vec_sim.simulate_qaoa(g, b);
-  EXPECT_EQ(vec_r.max_abs_diff(vec_r2), 0.0);
-  // Families may round differently (8-wide f32 lanes vs scalar), but only
-  // at float-rounding scale.
-  EXPECT_LE(scalar_r.max_abs_diff(vec_r), 5e-6);
-  EXPECT_NEAR(vec_sim.get_expectation(vec_r), scalar_e, 1e-4);
+  std::optional<StateVector> first_vec;
+  for (const SimdLevel level : supported_simd_levels()) {
+    if (level == SimdLevel::Scalar) continue;
+    SCOPED_TRACE(simd_level_name(level));
+    force_simd_level(level);
+    const FurQaoaSimulator vec_sim(terms, cfg);
+    const StateVector vec_r = vec_sim.simulate_qaoa(g, b);
+    const StateVector vec_r2 = vec_sim.simulate_qaoa(g, b);
+    EXPECT_EQ(vec_r.max_abs_diff(vec_r2), 0.0);
+    // Families may round differently (8-wide f32 lanes vs scalar), but
+    // only at float-rounding scale.
+    EXPECT_LE(scalar_r.max_abs_diff(vec_r), 5e-6);
+    EXPECT_NEAR(vec_sim.get_expectation(vec_r), scalar_e, 1e-4);
+    // Every vector level runs the same f32 family: the same bits.
+    if (first_vec)
+      EXPECT_EQ(first_vec->max_abs_diff(vec_r), 0.0);
+    else
+      first_vec = vec_r;
+  }
 }
 
 // ------------------------------------------------------- sampler (sat. 1)

@@ -549,5 +549,33 @@ TEST(ProblemSession, RejectsNonFiniteTermWeightsOnEveryBackend) {
   }
 }
 
+TEST(ProblemSession, RejectsProblemsAboveTheQubitLimitBeforeAllocating) {
+  // n = 46 would ask for a 2^46-entry diagonal: the build must fail with a
+  // named error (n, the limit, the bytes), never std::bad_alloc.
+  const auto expect_named = [](const std::string& what, const char* n) {
+    EXPECT_NE(what.find(n), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(kMaxQubits)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("bytes"), std::string::npos) << what;
+  };
+  const std::vector<double> gammas{0.1}, betas{0.2};
+  try {
+    api::qaoa_labs_evaluate(46, gammas, betas);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    expect_named(e.what(), "46");
+  }
+  const TermList terms(46, {{1.0, 0b11}, {0.5, 1ull << 45}});
+  for (const char* spec :
+       {"auto", "serial", "u16", "gatesim", "dist:2", "auto:prec=f32"}) {
+    try {
+      api::ProblemSession session(terms, SimulatorSpec::parse(spec));
+      FAIL() << spec << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      expect_named(e.what(), "46");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qokit

@@ -10,6 +10,7 @@
 #include <complex>
 #include <vector>
 
+#include "api/spec.hpp"
 #include "common/bitops.hpp"
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
@@ -20,22 +21,21 @@
 #include "fur/simulator.hpp"
 #include "fur/su2.hpp"
 #include "problems/labs.hpp"
+#include "simd/butterfly_group.hpp"
 #include "simd/kernels.hpp"
 #include "statevector/sampling.hpp"
+#include "support/simd_levels.hpp"
 
 namespace qokit {
 namespace {
 
-/// Restores the dispatch level that was active at test entry (which may be
-/// a QOKIT_SIMD=scalar override, not the detected level).
-struct SimdLevelGuard {
-  SimdLevel entry = active_simd_level();
-  ~SimdLevelGuard() { force_simd_level(entry); }
-};
+using testing::SimdLevelGuard;
+using testing::supported_simd_levels;
+using testing::vector_simd_levels;
 
-bool has_vector_level() {
-  return detect_simd_level() != SimdLevel::Scalar;
-}
+bool has_vector_level() { return !vector_simd_levels().empty(); }
+
+bool has_avx512() { return simd_level_supported(SimdLevel::Avx512); }
 
 StateVector random_state(int n, std::uint64_t seed) {
   Rng rng(seed);
@@ -60,17 +60,33 @@ void expect_states_close(const StateVector& a, const StateVector& b,
   EXPECT_LE(a.max_abs_diff(b), tol) << what;
 }
 
+/// Run `body` once per vector level, with that level installed.
+template <class F>
+void for_each_vector_level(F&& body) {
+  for (const SimdLevel level : vector_simd_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
+    force_simd_level(level);
+    body();
+  }
+}
+
 constexpr Exec kExecs[] = {Exec::Serial, Exec::Parallel};
 
 TEST(SimdDispatch, LevelIsConsistent) {
   SimdLevelGuard guard;
   EXPECT_TRUE(simd_level_compiled(SimdLevel::Scalar));
+  EXPECT_STREQ(simd_level_name(SimdLevel::Avx512), "avx512");
   const SimdLevel detected = detect_simd_level();
-  if (detected == SimdLevel::Avx2) {
-    EXPECT_TRUE(simd_level_compiled(SimdLevel::Avx2));
+  // The detected level is the highest supported one; every level is
+  // either supported or clamped down to the next supported one.
+  EXPECT_EQ(supported_simd_levels().back(), detected);
+  for (const SimdLevel level :
+       {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
+    const SimdLevel installed = force_simd_level(level);
+    EXPECT_LE(static_cast<int>(installed), static_cast<int>(level));
+    EXPECT_TRUE(simd_level_supported(installed));
+    EXPECT_EQ(installed == level, simd_level_supported(level));
   }
-  // Forcing scalar always succeeds; forcing the detected level restores it.
-  EXPECT_EQ(force_simd_level(SimdLevel::Scalar), SimdLevel::Scalar);
   EXPECT_EQ(force_simd_level(detected), detected);
   EXPECT_EQ(active_simd_level(), detected);
 }
@@ -84,13 +100,15 @@ TEST(SimdPhase, DispatchedMatchesScalar) {
     const auto costs = random_costs(n, 11, -40.0, 40.0);
     for (double gamma : {0.37, -2.9, 123.456}) {
       for (Exec exec : kExecs) {
-        StateVector a = random_state(n, 21);
-        StateVector b = a;
+        const StateVector input = random_state(n, 21);
+        StateVector a = input;
         force_simd_level(SimdLevel::Scalar);
         apply_phase_slice(a.data(), costs.data(), a.size(), gamma, exec);
-        force_simd_level(detect_simd_level());
-        apply_phase_slice(b.data(), costs.data(), b.size(), gamma, exec);
-        expect_states_close(a, b, 1e-12, "phase");
+        for_each_vector_level([&] {
+          StateVector b = input;
+          apply_phase_slice(b.data(), costs.data(), b.size(), gamma, exec);
+          expect_states_close(a, b, 1e-12, "phase");
+        });
       }
     }
   }
@@ -103,22 +121,23 @@ TEST(SimdPhase, HugeAnglesFallBackToLibm) {
   // fallback: groups where every angle is huge match the scalar family
   // exactly, mixed groups stay within the 1e-12 parity bound.
   const auto huge = random_costs(10, 13, 1.1e9, 3.0e9);
-  StateVector a = random_state(10, 23);
-  StateVector b = a;
+  const StateVector input = random_state(10, 23);
+  StateVector a = input;
   force_simd_level(SimdLevel::Scalar);
   apply_phase_slice(a.data(), huge.data(), a.size(), 1.0, Exec::Serial);
-  force_simd_level(detect_simd_level());
-  apply_phase_slice(b.data(), huge.data(), b.size(), 1.0, Exec::Serial);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0);
 
   const auto mixed = random_costs(10, 15, -3.0e9, 3.0e9);
-  StateVector c = random_state(10, 25);
-  StateVector d = c;
-  force_simd_level(SimdLevel::Scalar);
+  const StateVector mixed_input = random_state(10, 25);
+  StateVector c = mixed_input;
   apply_phase_slice(c.data(), mixed.data(), c.size(), 1.0, Exec::Serial);
-  force_simd_level(detect_simd_level());
-  apply_phase_slice(d.data(), mixed.data(), d.size(), 1.0, Exec::Serial);
-  expect_states_close(c, d, 1e-12, "phase-mixed-huge");
+  for_each_vector_level([&] {
+    StateVector b = input;
+    apply_phase_slice(b.data(), huge.data(), b.size(), 1.0, Exec::Serial);
+    EXPECT_EQ(a.max_abs_diff(b), 0.0);
+    StateVector d = mixed_input;
+    apply_phase_slice(d.data(), mixed.data(), d.size(), 1.0, Exec::Serial);
+    expect_states_close(c, d, 1e-12, "phase-mixed-huge");
+  });
 }
 
 TEST(SimdPhase, U16TablePathMatchesScalar) {
@@ -132,13 +151,15 @@ TEST(SimdPhase, U16TablePathMatchesScalar) {
   const auto d16 = DiagonalU16::encode(diag);
   ASSERT_TRUE(d16.is_exact());
   for (Exec exec : kExecs) {
-    StateVector a = random_state(n, 29);
-    StateVector b = a;
+    const StateVector input = random_state(n, 29);
+    StateVector a = input;
     force_simd_level(SimdLevel::Scalar);
     apply_phase(a, d16, 0.81, exec);
-    force_simd_level(detect_simd_level());
-    apply_phase(b, d16, 0.81, exec);
-    expect_states_close(a, b, 1e-12, "phase-u16");
+    for_each_vector_level([&] {
+      StateVector b = input;
+      apply_phase(b, d16, 0.81, exec);
+      expect_states_close(a, b, 1e-12, "phase-u16");
+    });
   }
 }
 
@@ -146,22 +167,27 @@ TEST(SimdPhase, PopcountTableMatchesScalar) {
   if (!has_vector_level()) GTEST_SKIP() << "scalar-only build/host";
   SimdLevelGuard guard;
   const int n = 11;
-  aligned_vector<cdouble> table(static_cast<std::size_t>(n) + 1);
-  for (int w = 0; w <= n; ++w) {
+  // One entry per possible weight of index_base + j: with the nonzero base
+  // below, weights run past n (an (n+1)-entry table was read out of
+  // bounds, which AddressSanitizer reports).
+  aligned_vector<cdouble> table(65);
+  for (int w = 0; w <= 64; ++w) {
     const double ang = 0.3 * w - 0.7;
     table[w] = cdouble(std::cos(ang), std::sin(ang));
   }
   // Nonzero index_base mimics a distributed rank slice.
   for (std::uint64_t base : {0ull, 12345ull}) {
-    StateVector a = random_state(n, 31);
-    StateVector b = a;
+    const StateVector input = random_state(n, 31);
+    StateVector a = input;
     force_simd_level(SimdLevel::Scalar);
     simd::apply_phase_popcount(a.data(), base, a.size(), table.data(),
                                Exec::Serial);
-    force_simd_level(detect_simd_level());
-    simd::apply_phase_popcount(b.data(), base, b.size(), table.data(),
-                               Exec::Serial);
-    expect_states_close(a, b, 1e-12, "phase-popcount");
+    for_each_vector_level([&] {
+      StateVector b = input;
+      simd::apply_phase_popcount(b.data(), base, b.size(), table.data(),
+                                 Exec::Serial);
+      expect_states_close(a, b, 1e-12, "phase-popcount");
+    });
   }
 }
 
@@ -172,13 +198,15 @@ TEST(SimdButterflies, RxMatchesScalarAtEveryQubit) {
   const double c = std::cos(0.42), s = std::sin(0.42);
   for (int q = 0; q < n; ++q) {
     for (Exec exec : kExecs) {
-      StateVector a = random_state(n, 37 + q);
-      StateVector b = a;
+      const StateVector input = random_state(n, 37 + q);
+      StateVector a = input;
       force_simd_level(SimdLevel::Scalar);
       kern::rx(a.data(), a.size(), q, c, s, exec);
-      force_simd_level(detect_simd_level());
-      kern::rx(b.data(), b.size(), q, c, s, exec);
-      expect_states_close(a, b, 1e-12, "rx");
+      for_each_vector_level([&] {
+        StateVector b = input;
+        kern::rx(b.data(), b.size(), q, c, s, exec);
+        expect_states_close(a, b, 1e-12, "rx");
+      });
     }
   }
 }
@@ -189,13 +217,15 @@ TEST(SimdButterflies, HadamardMatchesScalarAtEveryQubit) {
   const int n = 12;
   for (int q = 0; q < n; ++q) {
     for (Exec exec : kExecs) {
-      StateVector a = random_state(n, 41 + q);
-      StateVector b = a;
+      const StateVector input = random_state(n, 41 + q);
+      StateVector a = input;
       force_simd_level(SimdLevel::Scalar);
       kern::hadamard(a.data(), a.size(), q, exec);
-      force_simd_level(detect_simd_level());
-      kern::hadamard(b.data(), b.size(), q, exec);
-      expect_states_close(a, b, 1e-12, "hadamard");
+      for_each_vector_level([&] {
+        StateVector b = input;
+        kern::hadamard(b.data(), b.size(), q, exec);
+        expect_states_close(a, b, 1e-12, "hadamard");
+      });
     }
   }
 }
@@ -204,13 +234,15 @@ TEST(SimdButterflies, FwhtMixerMatchesScalar) {
   if (!has_vector_level()) GTEST_SKIP() << "scalar-only build/host";
   SimdLevelGuard guard;
   for (Exec exec : kExecs) {
-    StateVector a = random_state(13, 43);
-    StateVector b = a;
+    const StateVector input = random_state(13, 43);
+    StateVector a = input;
     force_simd_level(SimdLevel::Scalar);
     apply_mixer_x_fwht(a, 0.77, exec);
-    force_simd_level(detect_simd_level());
-    apply_mixer_x_fwht(b, 0.77, exec);
-    expect_states_close(a, b, 1e-11, "fwht-mixer");
+    for_each_vector_level([&] {
+      StateVector b = input;
+      apply_mixer_x_fwht(b, 0.77, exec);
+      expect_states_close(a, b, 1e-11, "fwht-mixer");
+    });
   }
 }
 
@@ -229,11 +261,12 @@ TEST(SimdReductions, MatchScalar) {
     const double e16_s = expectation(sv, d16, exec);
     const double n_s = sv.norm_squared(exec);
     const double o_s = overlap_ground(sv, diag, 2.5, exec);
-    force_simd_level(detect_simd_level());
-    EXPECT_NEAR(expectation(sv, diag, exec), e_s, 1e-12 * 60.0);
-    EXPECT_NEAR(expectation(sv, d16, exec), e16_s, 1e-12 * 60.0);
-    EXPECT_NEAR(sv.norm_squared(exec), n_s, 1e-12);
-    EXPECT_NEAR(overlap_ground(sv, diag, 2.5, exec), o_s, 1e-12);
+    for_each_vector_level([&] {
+      EXPECT_NEAR(expectation(sv, diag, exec), e_s, 1e-12 * 60.0);
+      EXPECT_NEAR(expectation(sv, d16, exec), e16_s, 1e-12 * 60.0);
+      EXPECT_NEAR(sv.norm_squared(exec), n_s, 1e-12);
+      EXPECT_NEAR(overlap_ground(sv, diag, 2.5, exec), o_s, 1e-12);
+    });
   }
 }
 
@@ -245,14 +278,18 @@ TEST(SimdReductions, SerialAndParallelAreBitIdentical) {
   const int n = 17;  // above the parallel grain: OpenMP actually engages
   const StateVector sv = random_state(n, 59);
   const auto diag = CostDiagonal::from_values(n, random_costs(n, 61, -5, 5));
-  EXPECT_EQ(expectation(sv, diag, Exec::Serial),
-            expectation(sv, diag, Exec::Parallel));
-  EXPECT_EQ(sv.norm_squared(Exec::Serial), sv.norm_squared(Exec::Parallel));
-  StateVector a = sv;
-  StateVector b = sv;
-  apply_phase(a, diag, 0.9, Exec::Serial);
-  apply_phase(b, diag, 0.9, Exec::Parallel);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0);
+  for (const SimdLevel level : supported_simd_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
+    force_simd_level(level);
+    EXPECT_EQ(expectation(sv, diag, Exec::Serial),
+              expectation(sv, diag, Exec::Parallel));
+    EXPECT_EQ(sv.norm_squared(Exec::Serial), sv.norm_squared(Exec::Parallel));
+    StateVector a = sv;
+    StateVector b = sv;
+    apply_phase(a, diag, 0.9, Exec::Serial);
+    apply_phase(b, diag, 0.9, Exec::Parallel);
+    EXPECT_EQ(a.max_abs_diff(b), 0.0);
+  }
 }
 
 TEST(SimdEndToEnd, SimulatorBackendsMatchScalarDispatch) {
@@ -267,16 +304,229 @@ TEST(SimdEndToEnd, SimulatorBackendsMatchScalarDispatch) {
     const StateVector r_s = sim_s->simulate_qaoa(gammas, betas);
     const double e_s = sim_s->get_expectation(r_s);
     const double o_s = sim_s->get_overlap(r_s);
-    force_simd_level(detect_simd_level());
-    const auto sim_v = choose_simulator(terms, name);
-    const StateVector r_v = sim_v->simulate_qaoa(gammas, betas);
-    // Under QOKIT_PREC=f32 the names resolve to float amplitudes, where
-    // the scalar and vector families agree to float-rounding scale.
-    const bool f32 = sim_s->precision() == Precision::F32;
-    EXPECT_LE(r_s.max_abs_diff(r_v), f32 ? 5e-6 : 1e-11) << name;
-    EXPECT_NEAR(sim_v->get_expectation(r_v), e_s, f32 ? 1e-4 : 1e-10)
-        << name;
-    EXPECT_NEAR(sim_v->get_overlap(r_v), o_s, f32 ? 1e-4 : 1e-10) << name;
+    for_each_vector_level([&] {
+      const auto sim_v = choose_simulator(terms, name);
+      const StateVector r_v = sim_v->simulate_qaoa(gammas, betas);
+      // Under QOKIT_PREC=f32 the names resolve to float amplitudes, where
+      // the scalar and vector families agree to float-rounding scale.
+      const bool f32 = sim_s->precision() == Precision::F32;
+      EXPECT_LE(r_s.max_abs_diff(r_v), f32 ? 5e-6 : 1e-11) << name;
+      EXPECT_NEAR(sim_v->get_expectation(r_v), e_s, f32 ? 1e-4 : 1e-10)
+          << name;
+      EXPECT_NEAR(sim_v->get_overlap(r_v), o_s, f32 ? 1e-4 : 1e-10) << name;
+    });
+  }
+}
+
+// ------------------------------------------- register-blocked butterflies
+
+/// Reproducible interleaved amplitudes of precision T.
+template <class T>
+std::vector<std::complex<T>> ramp_amps(std::uint64_t count,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::complex<T>> out(count);
+  for (auto& a : out)
+    a = std::complex<T>(static_cast<T>(rng.uniform(-1.0, 1.0)),
+                        static_cast<T>(rng.uniform(-1.0, 1.0)));
+  return out;
+}
+
+template <class T>
+void per_qubit(const simd::detail::KernelsT<T>& k,
+               simd::detail::Butterfly kind, std::complex<T>* x, int qubit,
+               std::uint64_t kb, std::uint64_t ke, double c, double s) {
+  if (kind == simd::detail::Butterfly::Rx)
+    k.rx_pairs(x, qubit, kb, ke, c, s);
+  else
+    k.hadamard_pairs(x, qubit, kb, ke);
+}
+
+/// One butterfly_group call against m single-qubit calls of the same
+/// family over the same amplitudes, bitwise: whole aligned ranges, partial
+/// group ranges, and the strided pass's row chunks.
+template <class T>
+void expect_group_matches_per_qubit(const simd::detail::KernelsT<T>& k) {
+  using simd::detail::Butterfly;
+  const int n = 9;
+  const std::uint64_t dim = std::uint64_t{1} << n;
+  const double c = std::cos(0.61), s = std::sin(0.61);
+  for (const Butterfly kind : {Butterfly::Rx, Butterfly::Hadamard})
+    for (int q = 0; q <= 3; ++q)
+      for (int m = 1; m <= 3; ++m) {
+        SCOPED_TRACE(::testing::Message()
+                     << "q=" << q << " m=" << m << " hadamard="
+                     << (kind == Butterfly::Hadamard));
+        const std::uint64_t groups = dim >> m;
+        const std::uint64_t cols = std::uint64_t{1} << q;
+        const auto check = [&](std::uint64_t gb, std::uint64_t ge,
+                               const auto& reference, const char* what) {
+          auto a = ramp_amps<T>(dim, 97 + q * 4 + m);
+          auto b = a;
+          k.butterfly_group(a.data(), q, m, gb, ge, kind, c, s);
+          reference(b.data());
+          for (std::uint64_t i = 0; i < dim; ++i)
+            ASSERT_EQ(a[i], b[i]) << what << " [" << gb << ", " << ge
+                                  << ") amplitude " << i;
+        };
+        // Whole blocks: m single-qubit calls with the same pair range.
+        for (const auto& [gb, ge] :
+             {std::pair{std::uint64_t{0}, groups},
+              std::pair{cols, groups - 2 * cols}}) {
+          check(gb, ge,
+                [&](std::complex<T>* x) {
+                  for (int j = 0; j < m; ++j)
+                    per_qubit(k, kind, x, q + j, gb << (m - 1),
+                              ge << (m - 1), c, s);
+                },
+                "aligned");
+        }
+        // Partial group ranges: the per-qubit decomposition that defines
+        // the group entry.
+        for (const auto& [gb, ge] :
+             {std::pair{std::uint64_t{1}, groups - 3},
+              std::pair{std::uint64_t{3}, std::uint64_t{6}}}) {
+          check(gb, ge,
+                [&](std::complex<T>* x) {
+                  simd::detail::group_per_qubit(
+                      q, m, gb, ge,
+                      [&](int qubit, std::uint64_t kb, std::uint64_t ke) {
+                        per_qubit(k, kind, x, qubit, kb, ke, c, s);
+                      });
+                },
+                "partial");
+        }
+        // Strided rows: `chunk` columns of the 2^m rows at stride 2^q, one
+        // single-qubit call per row pair (the strided pass's old loop).
+        for (std::uint64_t chunk = 1; chunk < cols; ++chunk) {
+          const std::uint64_t base = (std::uint64_t{5} << (q + m)) +
+                                     (cols - chunk) / 2;
+          const std::uint64_t g0 = simd::detail::group_index(base, q, m);
+          check(g0, g0 + chunk,
+                [&](std::complex<T>* x) {
+                  for (int j = 0; j < m; ++j)
+                    for (std::uint64_t r = 0; r < (1u << m); ++r) {
+                      if ((r >> j) & 1) continue;
+                      const std::uint64_t kb =
+                          remove_bit(base + (r << q), q + j);
+                      per_qubit(k, kind, x, q + j, kb, kb + chunk, c, s);
+                    }
+                },
+                "rows");
+        }
+      }
+}
+
+TEST(SimdGroup, MatchesSingleQubitCallsAtEveryLevel) {
+  SimdLevelGuard guard;
+  for (const SimdLevel level : supported_simd_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
+    force_simd_level(level);
+    expect_group_matches_per_qubit(simd::detail::active_kernels());
+    expect_group_matches_per_qubit(simd::detail::active_kernels_f32());
+  }
+}
+
+#if QOKIT_SIMD_X86
+/// Runs one f64 kernel at AVX2 and at AVX-512 on identical inputs.
+template <class F>
+void expect_avx512_equals_avx2(std::uint64_t count, const char* what,
+                               F&& kernel) {
+  auto a = ramp_amps<double>(count, 131);
+  auto b = a;
+  kernel(simd::detail::avx2_kernels, a.data());
+  kernel(simd::detail::avx512_kernels(), b.data());
+  for (std::uint64_t i = 0; i < count; ++i)
+    ASSERT_EQ(a[i], b[i]) << what << " amplitude " << i;
+}
+#endif
+
+TEST(SimdAvx512, EveryF64KernelMatchesAvx2Bitwise) {
+#if QOKIT_SIMD_X86
+  if (!has_avx512()) GTEST_SKIP() << "host lacks AVX-512F/DQ";
+  using simd::detail::Butterfly;
+  using simd::detail::Kernels;
+  const int n = 10;
+  const std::uint64_t dim = std::uint64_t{1} << n;
+  // Ordinary angles, then a mix with huge ones: every 8-lane group that
+  // holds one must take AVX2's per-4-lane libm fallback.
+  auto costs = random_costs(n, 137, -40.0, 40.0);
+  auto huge = random_costs(n, 139, -3.0e9, 3.0e9);
+  for (std::uint64_t i = 0; i < dim; i += 3) huge[i] = costs[i];
+  const double c = std::cos(0.3), s = std::sin(0.3);
+  // Offsets and odd lengths reach the 4-lane and scalar remainders.
+  for (const std::uint64_t off : {0, 2, 4})
+    for (const std::uint64_t len : {dim - 8, dim - 10, std::uint64_t{6}}) {
+      SCOPED_TRACE(::testing::Message() << "off=" << off << " len=" << len);
+      for (const auto* cs : {&costs, &huge}) {
+        expect_avx512_equals_avx2(dim, "phase", [&](const Kernels& k,
+                                                    cdouble* x) {
+          k.phase(x + off, cs->data() + off, len, 0.77);
+        });
+        expect_avx512_equals_avx2(dim, "phase_rx", [&](const Kernels& k,
+                                                       cdouble* x) {
+          k.phase_rx(x + off, cs->data() + off, len, 0.77, c, s);
+        });
+      }
+    }
+  for (int q = 0; q < n; ++q)
+    for (const auto& [kb, ke] :
+         {std::pair{std::uint64_t{0}, dim / 2},
+          std::pair{std::uint64_t{1}, dim / 2 - 3},
+          std::pair{std::uint64_t{5}, std::uint64_t{12}}}) {
+      SCOPED_TRACE(::testing::Message() << "q=" << q << " [" << kb << ", "
+                                        << ke << ")");
+      expect_avx512_equals_avx2(dim, "rx_pairs", [&](const Kernels& k,
+                                                     cdouble* x) {
+        k.rx_pairs(x, q, kb, ke, c, s);
+      });
+      expect_avx512_equals_avx2(dim, "hadamard_pairs", [&](const Kernels& k,
+                                                           cdouble* x) {
+        k.hadamard_pairs(x, q, kb, ke);
+      });
+      for (int m = 1; m <= 3 && q + m <= n; ++m)
+        for (const Butterfly kind : {Butterfly::Rx, Butterfly::Hadamard})
+          expect_avx512_equals_avx2(dim, "butterfly_group", [&](
+                                             const Kernels& k, cdouble* x) {
+            k.butterfly_group(x, q, m, kb >> (m - 1), ke >> (m - 1), kind, c,
+                              s);
+          });
+    }
+  // The reductions and table kernels are the AVX2 functions themselves.
+  const Kernels& v = simd::detail::avx512_kernels();
+  const Kernels& w = simd::detail::avx2_kernels;
+  EXPECT_EQ(v.expectation, w.expectation);
+  EXPECT_EQ(v.phase_table, w.phase_table);
+  EXPECT_EQ(v.hadamard_pairs, w.hadamard_pairs);
+#else
+  GTEST_SKIP() << "built without the vector kernel families";
+#endif
+}
+
+TEST(SimdAvx512, EndToEndMatchesAvx2Bitwise) {
+  if (!has_avx512()) GTEST_SKIP() << "host lacks AVX-512F/DQ";
+  SimdLevelGuard guard;
+  const std::vector<double> gammas = {0.31, -0.47, 0.83};
+  const std::vector<double> betas = {0.78, 0.15, -0.52};
+  // n = 18 runs strided passes at the default geometry; n = 9 a lone tile.
+  for (const int n : {9, 18}) {
+    const TermList terms = labs_terms(n);
+    for (const char* name :
+         {"auto:prec=f64", "serial:prec=f64", "u16:prec=f64",
+          "fwht:prec=f64", "dist:2:prec=f64", "serial:mixer=xyring",
+          "auto:prec=f32", "serial:prec=f32", "u16:prec=f32",
+          "fwht:prec=f32", "dist:2:prec=f32"}) {
+      SCOPED_TRACE(::testing::Message() << name << " n=" << n);
+      const SimulatorSpec spec = SimulatorSpec::parse(name);
+      force_simd_level(SimdLevel::Avx2);
+      const auto sim = make_simulator(terms, spec);
+      const StateVector a = sim->simulate_qaoa(gammas, betas);
+      const double ea = sim->get_expectation(a);
+      force_simd_level(SimdLevel::Avx512);
+      const StateVector b = sim->simulate_qaoa(gammas, betas);
+      EXPECT_EQ(a.max_abs_diff(b), 0.0);
+      EXPECT_EQ(ea, sim->get_expectation(b));
+    }
   }
 }
 
