@@ -16,7 +16,6 @@
 // Smoke mode (QOKIT_BENCH_SMOKE=1 or --smoke): n = 14 only, 3 reps — used
 // by CI (and `ctest -C bench -L bench-smoke`) to keep the JSON generation
 // path alive. Never read speedups off smoke runs.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,26 +35,8 @@ namespace {
 
 using namespace qokit;
 
-/// Median, minimum and interquartile range of one timing series, in ms.
-struct Summary {
-  double median_ms = 0.0;
-  double min_ms = 0.0;
-  double iqr_ms = 0.0;
-};
-
-double quantile(const std::vector<double>& sorted, double q) {
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] +
-         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
-}
-
-Summary summarize(std::vector<double> ms) {
-  std::sort(ms.begin(), ms.end());
-  return {quantile(ms, 0.5), ms.front(),
-          quantile(ms, 0.75) - quantile(ms, 0.25)};
-}
+using bench::Summary;
+using bench::summarize;
 
 /// The paper's Sec. III-A kernel: every element summed over all terms.
 aligned_vector<double> per_element(const TermList& terms, Exec exec) {
@@ -145,21 +126,15 @@ int main(int argc, char** argv) {
                "  \"identical\": %s,\n"
                "  \"results\": [\n",
                reps, identical ? "true" : "false");
-  const auto summary_json = [&](const char* key, const Summary& s) {
-    std::fprintf(out,
-                 "\"%s\": {\"median_ms\": %.4f, \"min_ms\": %.4f, "
-                 "\"iqr_ms\": %.4f}",
-                 key, s.median_ms, s.min_ms, s.iqr_ms);
-  };
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     std::fprintf(out,
                  "    {\"problem\": \"%s\", \"n\": %d, \"terms\": %zu, "
                  "\"exec\": \"%s\", ",
                  r.problem, r.n, r.terms, r.exec);
-    summary_json("transform", r.transform);
+    bench::write_summary(out, "transform", r.transform);
     std::fprintf(out, ", ");
-    summary_json("per_element", r.baseline);
+    bench::write_summary(out, "per_element", r.baseline);
     std::fprintf(out, ", \"speedup\": %.2f}%s\n",
                  r.baseline.median_ms / r.transform.median_ms,
                  i + 1 < results.size() ? "," : "");

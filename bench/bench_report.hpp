@@ -1,4 +1,5 @@
-// Shared context block for every BENCH_*.json emitter.
+// Shared context block and timing summaries for every BENCH_*.json
+// emitter.
 //
 // Benchmark numbers are only comparable against the hardware and build
 // that produced them, so every bench stamps the same leading fields --
@@ -7,9 +8,12 @@
 // inventing its own subset. Header-only; bench binaries only.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/cpu_features.hpp"
 #include "common/parallel.hpp"
@@ -86,6 +90,43 @@ inline void write_context(std::FILE* out, bool smoke) {
                simd_level_name(active_simd_level()), max_threads(),
                json_sanitize(git_describe()).c_str(),
                smoke ? "true" : "false");
+}
+
+/// Median, minimum and interquartile range of one timing series, in ms.
+struct Summary {
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+  double iqr_ms = 0.0;
+};
+
+/// Linear-interpolated quantile q of an ascending, non-empty series.
+inline double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+inline Summary summarize(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  return {quantile(ms, 0.5), ms.front(),
+          quantile(ms, 0.75) - quantile(ms, 0.25)};
+}
+
+/// True when two series' medians differ by no more than the larger of
+/// their IQRs: the ratio between them is then "no change", not a gain.
+inline bool within_noise(const Summary& a, const Summary& b) {
+  return std::abs(a.median_ms - b.median_ms) <=
+         std::max(a.iqr_ms, b.iqr_ms);
+}
+
+/// `"key": {"median_ms": .., "min_ms": .., "iqr_ms": ..}` (no separator).
+inline void write_summary(std::FILE* out, const char* key, const Summary& s) {
+  std::fprintf(out,
+               "\"%s\": {\"median_ms\": %.4f, \"min_ms\": %.4f, "
+               "\"iqr_ms\": %.4f}",
+               key, s.median_ms, s.min_ms, s.iqr_ms);
 }
 
 }  // namespace qokit::bench

@@ -26,7 +26,6 @@
 #include "dist/dist_fur.hpp"
 #include "fur/fwht.hpp"
 #include "fur/simulator.hpp"
-#include "fur/symmetry.hpp"
 #include "gatesim/simulator.hpp"
 #include "optimize/grid.hpp"
 #include "optimize/labs_params.hpp"

@@ -320,6 +320,10 @@ class GateSimAdapter final : public QaoaFastSimulatorBase {
 
   const CostDiagonal& get_cost_diagonal() const override { return diag_; }
 
+  std::string_view half_space_reason() const override {
+    return "gatesim: gate-at-a-time evolution runs the full 2^n state";
+  }
+
  private:
   TermList terms_;
   CostDiagonal diag_;

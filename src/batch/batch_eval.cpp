@@ -63,7 +63,7 @@ BatchEvaluator::BatchEvaluator(const QaoaFastSimulatorBase& sim,
                                BatchOptions opts)
     : sim_(&sim),
       opts_(opts),
-      init_(sim.initial_state()),
+      init_(sim.start_state()),
       scratch_(static_cast<std::size_t>(max_threads())) {
   check_options(opts_, sim.num_qubits());
 }
@@ -154,19 +154,28 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
     if (opts.record_timings) out.simulate_ns[i] = tick_ns() - t0;
   };
   // Scoring: the reductions left once the expectation is known. Always on
-  // the submitting thread, in schedule order.
+  // the submitting thread, in schedule order. A half-storage slot is
+  // expanded once into the reused full scratch first, so overlaps,
+  // samples and kept states run the unchanged 2^n code.
+  const bool scored = !out.overlaps.empty() || !out.samples.empty() ||
+                      !out.states.empty();
   auto score = [&](std::size_t i, StateVector& slot) {
     obs::Span rspan("reduce", reduce_hist);
     const std::uint64_t t0 = opts.record_timings ? tick_ns() : 0;
+    const StateVector* state = &slot;
+    if (scored && slot.is_half()) {
+      slot.expand_into(full_);
+      state = &full_;
+    }
     if (!out.overlaps.empty())
-      out.overlaps[i] = sim_->get_overlap(slot, opts.overlap_weight);
+      out.overlaps[i] = sim_->get_overlap(*state, opts.overlap_weight);
     if (!out.samples.empty()) {
       // Seeded per schedule index, so the drawn bitstrings are independent
       // of evaluation order and of the parallelism mode.
       Rng rng(opts.sample_seed + i);
-      out.samples[i] = sample_states(slot, opts.sample_shots, rng);
+      out.samples[i] = sample_states(*state, opts.sample_shots, rng);
     }
-    if (!out.states.empty()) out.states[i] = slot;  // copy; slot lives on
+    if (!out.states.empty()) out.states[i] = *state;  // copy; slot lives on
     if (opts.record_timings) out.reduce_ns[i] = tick_ns() - t0;
   };
 

@@ -16,9 +16,11 @@
 //    simulator's own Exec policy. Wins for few large jobs, and is forced
 //    for simulators that already own the machine's threads (dist:K).
 // Either way each schedule runs the one evolve-and-score step every
-// caller shares (ProblemSession::evaluate is its batch of one): refill,
-// simulate_qaoa_expectation when an expectation is requested (fused into
-// the final pass on FurQaoaSimulator), then overlap / samples / states.
+// caller shares (ProblemSession::evaluate is its batch of one): refill
+// from the simulator's start_state() (half storage on a flip-symmetric
+// FurQaoaSimulator, so slots move half the bytes), simulate_qaoa_expectation
+// when an expectation is requested (fused into the final pass on
+// FurQaoaSimulator), then overlap / samples / states on the 2^n state.
 // Results are bit-identical to a sequential simulate_qaoa +
 // get_expectation loop (the cross-validation suite asserts equality, not
 // tolerance). evaluate_into validates every request once: finite angles,
@@ -86,7 +88,7 @@ struct BatchResult {
 /// scratch pool is per-instance); distinct instances are independent.
 class BatchEvaluator {
  public:
-  /// `sim` must outlive the evaluator. Caches sim.initial_state() once.
+  /// `sim` must outlive the evaluator. Caches sim.start_state() once.
   explicit BatchEvaluator(const QaoaFastSimulatorBase& sim,
                           BatchOptions opts = {});
 
@@ -134,8 +136,13 @@ class BatchEvaluator {
 
   const QaoaFastSimulatorBase* sim_;
   BatchOptions opts_;
-  StateVector init_;  ///< cached initial state, copied into scratch per job
+  /// Cached sim.start_state(), copied into scratch per job: half storage
+  /// on a half-space simulator, so every slot holds 2^(n-1) amplitudes.
+  StateVector init_;
   mutable std::vector<StateVector> scratch_;  ///< one reusable state/thread
+  /// The 2^n state a half-storage slot expands into for overlaps, samples
+  /// and kept states; allocated on first use, then reused.
+  mutable StateVector full_;
 };
 
 }  // namespace qokit

@@ -76,9 +76,20 @@ double expectation_slice(Communicator& comm, const cfloat* local,
 
 }  // namespace dist
 
+namespace {
+
+/// `cfg`, once check_qubit_limit has passed: the first member initializer,
+/// so an oversized problem is named before any rank or slice exists.
+DistConfig within_qubit_limit(const TermList& terms, const DistConfig& cfg) {
+  check_qubit_limit(terms.num_qubits(), cfg.prec);
+  return cfg;
+}
+
+}  // namespace
+
 DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
                                                  DistConfig cfg)
-    : cfg_(cfg),
+    : cfg_(within_qubit_limit(terms, cfg)),
       log2_ranks_(std::countr_zero(static_cast<unsigned>(
           cfg.ranks > 0 ? cfg.ranks : 1))),
       world_(cfg.ranks) {

@@ -71,7 +71,8 @@ class DistributedFurSimulator final : public QaoaFastSimulatorBase {
   /// Precomputes the cost diagonal slice-by-slice across the ranks.
   /// Throws std::invalid_argument if cfg.ranks is not a power of two or
   /// if 2 * log2(ranks) > n (a rank must own at least as many local
-  /// qubits as there are global ones for the reordering to fit).
+  /// qubits as there are global ones for the reordering to fit), and
+  /// above kMaxQubits before allocating anything.
   explicit DistributedFurSimulator(const TermList& terms, DistConfig cfg = {});
 
   int num_qubits() const override { return diag_.num_qubits(); }
@@ -90,6 +91,9 @@ class DistributedFurSimulator final : public QaoaFastSimulatorBase {
   /// The K rank threads are the parallelism here; tell batch engines not
   /// to stack an outer schedule team on top of them.
   bool prefers_sequential_batches() const override { return cfg_.ranks > 1; }
+  std::string_view half_space_reason() const override {
+    return "dist: the ranks shard the full 2^n state";
+  }
 
   /// Simulate and reduce <C> without gathering the state: each rank
   /// scores its own slice and the total comes back through one

@@ -106,15 +106,27 @@ void check_prec_mixer(const FurConfig& cfg) {
         "FurQaoaSimulator: prec=f32 supports the X mixer only");
 }
 
+/// `terms`, once check_qubit_limit has passed: the member initializers
+/// below allocate the diagonal, so the check must run inside them.
+const TermList& within_qubit_limit(const TermList& terms, Precision prec) {
+  check_qubit_limit(terms.num_qubits(), prec);
+  return terms;
+}
+
 }  // namespace
 
 FurQaoaSimulator::FurQaoaSimulator(const TermList& terms, FurConfig cfg)
     : cfg_(cfg),
-      diag_(CostDiagonal::precompute(terms, cfg.exec)),
+      diag_(CostDiagonal::precompute(within_qubit_limit(terms, cfg.prec),
+                                     cfg.exec)),
       plan_(pipeline::LayerPlan::build(diag_.num_qubits(), cfg.mixer,
                                        cfg.backend, cfg.pipeline)) {
   check_prec_mixer(cfg_);
   if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_);
+  plan_half_space(is_flip_symmetric(terms)
+                      ? ""
+                      : "odd-order terms: the cost is not flip-symmetric; "
+                        "using the full space");
 }
 
 FurQaoaSimulator::FurQaoaSimulator(CostDiagonal costs, FurConfig cfg)
@@ -124,6 +136,17 @@ FurQaoaSimulator::FurQaoaSimulator(CostDiagonal costs, FurConfig cfg)
                                        cfg.backend, cfg.pipeline)) {
   check_prec_mixer(cfg_);
   if (cfg_.use_u16) diag16_ = DiagonalU16::encode(diag_);
+  plan_half_space("adopted cost vector: its flip symmetry is unknown; using "
+                  "the full space");
+}
+
+void FurQaoaSimulator::plan_half_space(std::string veto) {
+  if (veto.empty()) {
+    half_plan_ = pipeline::LayerPlan::build_half(num_qubits(), cfg_.mixer,
+                                                 cfg_.backend, cfg_.pipeline);
+    veto = half_plan_.fallback_reason();  // empty when active
+  }
+  half_reason_ = std::move(veto);
 }
 
 StateVector FurQaoaSimulator::initial_state() const {
@@ -134,30 +157,59 @@ StateVector FurQaoaSimulator::initial_state() const {
   return StateVector::dicke_state(n, k, cfg_.prec);
 }
 
+StateVector FurQaoaSimulator::start_state() const {
+  if (half_space())
+    return StateVector::plus_state_half(num_qubits(), cfg_.prec);
+  return initial_state();
+}
+
+void FurQaoaSimulator::check_state(const StateVector& state) const {
+  if (state.num_qubits() != num_qubits())
+    throw std::invalid_argument("simulate_qaoa: state size mismatch");
+  if (state.is_half() && !half_space())
+    throw std::invalid_argument(
+        "FurQaoaSimulator: a half-storage state needs a half-space "
+        "simulator, and this one is not (" + half_reason_ + ")");
+}
+
+pipeline::ExpectationCtx FurQaoaSimulator::reduce_ctx() const {
+  pipeline::ExpectationCtx red;
+  if (cfg_.use_u16) {
+    red.codes = diag16_.codes();
+    red.offset = diag16_.offset();
+    red.scale = diag16_.scale();
+  } else {
+    red.costs = diag_.data();
+  }
+  return red;
+}
+
 StateVector FurQaoaSimulator::simulate_qaoa_from(
     StateVector state, std::span<const double> gammas,
     std::span<const double> betas) const {
   if (gammas.size() != betas.size())
     throw std::invalid_argument("simulate_qaoa: gammas/betas length mismatch");
-  if (state.num_qubits() != num_qubits())
-    throw std::invalid_argument("simulate_qaoa: state size mismatch");
+  check_state(state);
+  const pipeline::LayerPlan& plan = plan_for(state);
   obs::Span span("simulate");
   span.attr("n", num_qubits());
   span.attr("p", static_cast<std::int64_t>(gammas.size()));
-  span.attr("fused", plan_.active() ? 1 : 0);
-  if (plan_.active()) {
+  span.attr("fused", plan.active() ? 1 : 0);
+  span.attr("half", state.is_half() ? 1 : 0);
+  if (plan.active()) {
     // Fused layer pipeline: the phase multiply rides the first mixer
     // sweep and butterflies run in cache-blocked tiles, cutting full
-    // sweeps per layer from n + 1 to plan_.full_sweeps() — bit-identical
+    // sweeps per layer from n + 1 to plan.full_sweeps() — bit-identical
     // to the unfused loop below (the traversal changes, the per-amplitude
-    // arithmetic does not). Dispatch on the state's own precision so a
-    // caller-provided f64 state through an f32 simulator still evolves
-    // correctly (and vice versa).
+    // arithmetic does not). A half state runs the half plan, whose mirror
+    // pass keeps those bits (DESIGN.md "Half-space evolution"). Dispatch
+    // on the state's own precision so a caller-provided f64 state through
+    // an f32 simulator still evolves correctly (and vice versa).
     if (state.precision() == Precision::F32)
-      fused_schedule(plan_, state.data_f32(), state.size(), cfg_.use_u16,
+      fused_schedule(plan, state.data_f32(), state.size(), cfg_.use_u16,
                      diag_, diag16_, gammas, betas, cfg_.exec);
     else
-      fused_schedule(plan_, state.data(), state.size(), cfg_.use_u16, diag_,
+      fused_schedule(plan, state.data(), state.size(), cfg_.use_u16, diag_,
                      diag16_, gammas, betas, cfg_.exec);
     return state;
   }
@@ -182,10 +234,10 @@ double FurQaoaSimulator::simulate_qaoa_expectation(
     std::span<const double> betas) const {
   if (gammas.size() != betas.size())
     throw std::invalid_argument("simulate_qaoa: gammas/betas length mismatch");
-  if (state.num_qubits() != num_qubits())
-    throw std::invalid_argument("simulate_qaoa: state size mismatch");
-  if (gammas.empty() || !plan_.active() ||
-      !pipeline::can_fuse_expectation(plan_, state.size())) {
+  check_state(state);
+  const pipeline::LayerPlan& plan = plan_for(state);
+  if (gammas.empty() || !plan.active() ||
+      !pipeline::can_fuse_expectation(plan, state.size())) {
     // Two-pass oracle: unfused backends, tiny states, empty schedules.
     state = simulate_qaoa_from(std::move(state), gammas, betas);
     return get_expectation(state);
@@ -193,23 +245,20 @@ double FurQaoaSimulator::simulate_qaoa_expectation(
   obs::Span span("simulate_expectation");
   span.attr("n", num_qubits());
   span.attr("p", static_cast<std::int64_t>(gammas.size()));
-  pipeline::ExpectationCtx red;
-  if (cfg_.use_u16) {
-    red.codes = diag16_.codes();
-    red.offset = diag16_.offset();
-    red.scale = diag16_.scale();
-  } else {
-    red.costs = diag_.data();
-  }
+  span.attr("half", state.is_half() ? 1 : 0);
+  const pipeline::ExpectationCtx red = reduce_ctx();
+  // One slot per reduce block of the full 2^n state, also for a half
+  // state (its mirror pass fills the upper slots).
   thread_local aligned_vector<double> partials;
-  partials.assign(state.size() / static_cast<std::uint64_t>(kReduceBlock),
+  partials.assign(dim_of(num_qubits()) /
+                      static_cast<std::uint64_t>(kReduceBlock),
                   0.0);
   if (state.precision() == Precision::F32)
-    fused_schedule(plan_, state.data_f32(), state.size(), cfg_.use_u16,
+    fused_schedule(plan, state.data_f32(), state.size(), cfg_.use_u16,
                    diag_, diag16_, gammas, betas, cfg_.exec, &red,
                    partials.data());
   else
-    fused_schedule(plan_, state.data(), state.size(), cfg_.use_u16, diag_,
+    fused_schedule(plan, state.data(), state.size(), cfg_.use_u16, diag_,
                    diag16_, gammas, betas, cfg_.exec, &red,
                    partials.data());
   // Sequential sum in block-index order: parallel_reduce_blocks'
@@ -220,12 +269,28 @@ double FurQaoaSimulator::simulate_qaoa_expectation(
 }
 
 double FurQaoaSimulator::get_expectation(const StateVector& result) const {
+  if (result.is_half()) {
+    // Only p = 0 or a direct caller lands here: the fused half-plan
+    // reduction covers every evaluation. The expanded state sums the same
+    // kReduceBlock partials in the same order, so the bits match.
+    check_state(result);
+    StateVector full;
+    result.expand_into(full);
+    return get_expectation(full);
+  }
   if (cfg_.use_u16) return expectation(result, diag16_, cfg_.exec);
   return expectation(result, diag_, cfg_.exec);
 }
 
 double FurQaoaSimulator::get_overlap(const StateVector& result,
                                      int restrict_weight) const {
+  if (result.is_half()) {
+    // Not on the batch path (it expands into its own reused scratch).
+    check_state(result);
+    StateVector full;
+    result.expand_into(full);
+    return get_overlap(full, restrict_weight);
+  }
   if (restrict_weight < 0) return overlap_ground(result, diag_, 1e-9, cfg_.exec);
   return overlap_ground_sector(result, diag_, restrict_weight, 1e-9,
                                cfg_.exec);

@@ -16,6 +16,7 @@
 #include "diagonal/cost_diagonal.hpp"
 #include "diagonal/diagonal_u16.hpp"
 #include "fur/mixers.hpp"
+#include "pipeline/layer_exec.hpp"
 #include "pipeline/layer_plan.hpp"
 #include "statevector/state.hpp"
 #include "terms/term.hpp"
@@ -57,6 +58,20 @@ class QaoaFastSimulatorBase {
   /// Default initial state: |+>^n for the X mixer, the in-sector Dicke
   /// state for xy mixers. Built at precision().
   virtual StateVector initial_state() const = 0;
+
+  /// The state a batch evaluation evolves each schedule from:
+  /// initial_state(), or on a half-space simulator the same state in half
+  /// storage (StateVector::is_half), which only that simulator's
+  /// simulate_qaoa_from / simulate_qaoa_expectation / get_expectation /
+  /// get_overlap accept. Expand it (StateVector::expand_into) for anything
+  /// that wants the 2^n state.
+  virtual StateVector start_state() const { return initial_state(); }
+
+  /// Whether start_state() is half storage, and why not when it is not.
+  virtual bool half_space() const { return false; }
+  virtual std::string_view half_space_reason() const {
+    return "this backend evolves the full 2^n state";
+  }
 
   /// Run Algorithm 3 from the default initial state. gammas and betas must
   /// have equal length p. The returned StateVector is the `result` object
@@ -123,17 +138,33 @@ class QaoaFastSimulatorBase {
 };
 
 /// CPU fast simulator implementing Algorithm 3 over the fur kernels.
+///
+/// Half space: when the terms are flip-symmetric (is_flip_symmetric), the
+/// mixer is X on the Fused backend, the pipeline is on and n >= 12,
+/// start_state() is |+>^n in half storage and every
+/// evaluation from it evolves the 2^(n-1) lower amplitudes on
+/// half_plan(), bit for bit the full path's (DESIGN.md "Half-space
+/// evolution"). Full states -- initial_state(), a caller's state -- still
+/// run the full path, and layer_plan() and the diagonals keep their 2^n
+/// shape.
 class FurQaoaSimulator final : public QaoaFastSimulatorBase {
  public:
-  /// Precompute the diagonal from polynomial terms.
+  /// Precompute the diagonal from polynomial terms. Throws
+  /// std::invalid_argument above kMaxQubits before allocating anything.
   explicit FurQaoaSimulator(const TermList& terms, FurConfig cfg = {});
 
-  /// Adopt an existing cost vector (Listing 1's `costs` input path).
+  /// Adopt an existing cost vector (Listing 1's `costs` input path). Runs
+  /// the full space: the symmetry of an arbitrary vector is not known.
   FurQaoaSimulator(CostDiagonal costs, FurConfig cfg = {});
 
   int num_qubits() const override { return diag_.num_qubits(); }
   Precision precision() const override { return cfg_.prec; }
   StateVector initial_state() const override;
+  StateVector start_state() const override;
+  bool half_space() const override { return half_plan_.active(); }
+  std::string_view half_space_reason() const override {
+    return half_reason_;
+  }
   StateVector simulate_qaoa_from(StateVector state,
                                  std::span<const double> gammas,
                                  std::span<const double> betas) const override;
@@ -159,11 +190,26 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
   /// runs the unfused loop and fallback_reason() says why.
   const pipeline::LayerPlan& layer_plan() const { return plan_; }
 
+  /// The half-space plan over 2^(n-1) amplitudes, ending in the mirror
+  /// pass. Active iff half_space(); half_space_reason() says why not.
+  const pipeline::LayerPlan& half_plan() const { return half_plan_; }
+
  private:
+  /// Decide the half space: `veto` (a reason the constructor found) keeps
+  /// the full space; otherwise LayerPlan::build_half does.
+  void plan_half_space(std::string veto);
+  const pipeline::LayerPlan& plan_for(const StateVector& state) const {
+    return state.is_half() ? half_plan_ : plan_;
+  }
+  pipeline::ExpectationCtx reduce_ctx() const;
+  void check_state(const StateVector& state) const;
+
   FurConfig cfg_;
   CostDiagonal diag_;
   DiagonalU16 diag16_;  ///< populated iff cfg_.use_u16
   pipeline::LayerPlan plan_;
+  pipeline::LayerPlan half_plan_;
+  std::string half_reason_;  ///< empty iff half_space()
 };
 
 /// Factory mirroring qokit.fur.choose_simulator: a thin wrapper over

@@ -8,7 +8,7 @@
 namespace qokit {
 
 QaoaObjective::QaoaObjective(const QaoaFastSimulatorBase& sim, int p)
-    : sim_(&sim), p_(p), init_(sim.initial_state()) {
+    : sim_(&sim), p_(p), init_(sim.start_state()) {
   if (p < 1) throw std::invalid_argument("QaoaObjective: p must be >= 1");
 }
 

@@ -42,7 +42,7 @@ class QaoaObjective {
   const QaoaFastSimulatorBase* sim_;
   int p_;
   mutable int evals_ = 0;
-  StateVector init_;            ///< cached initial state template
+  StateVector init_;            ///< cached start_state() template
   mutable StateVector scratch_; ///< reused across calls; refilled from init_
 };
 

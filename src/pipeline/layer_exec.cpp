@@ -19,11 +19,17 @@
 // dispatch level) — not on traversal order — and each pass applies its
 // operations to each amplitude in exactly the unfused order (phase first,
 // then butterflies by ascending qubit).
+//
+// A half plan ends with a mirror pass: the top qubit is the last butterfly
+// of the layer on the full state too, so the lower half's qubits 0..n-2
+// see the full state's dataflow, and mirror_rx then gives each amplitude
+// the top qubit's update with its partner read from the mirror image.
 #include "pipeline/layer_exec.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "fur/fwht.hpp"
@@ -45,6 +51,12 @@ const obs::Counter& tile_pass_counter() {
 const obs::Counter& strided_pass_counter() {
   static const obs::Counter c =
       obs::counter("qokit_pipeline_strided_passes_total");
+  return c;
+}
+
+const obs::Counter& mirror_pass_counter() {
+  static const obs::Counter c =
+      obs::counter("qokit_pipeline_mirror_passes_total");
   return c;
 }
 
@@ -97,6 +109,50 @@ void reduce_piece(const simd::detail::KernelsT<T>& k,
                                       red.scale, block)
                   : k.expectation(amp + i, red.costs + i, block);
   }
+}
+
+/// Fused expectation partials of the upper half of a flip-symmetric
+/// state, for the half-state piece [base, base+count) of a 2^(n-1) =
+/// `half`-amplitude array: the full indices [2 half - base - count,
+/// 2 half - base) hold that piece reversed. Each of those reduce blocks is
+/// reverse-copied, amplitudes and costs (or codes), into per-thread
+/// scratch and reduced by the unchanged kernel -- the same values in the
+/// same positions as the full state's block (costs are flip-symmetric
+/// bitwise), so the same partial, in the same slot.
+template <class T>
+void reduce_mirror_piece(const simd::detail::KernelsT<T>& k,
+                         const std::complex<T>* amp,
+                         const ExpectationCtx& red, std::uint64_t half,
+                         std::uint64_t base, std::uint64_t count,
+                         double* partials) {
+  constexpr auto block = static_cast<std::uint64_t>(kReduceBlock);
+  alignas(64) static thread_local std::complex<T> a[block];
+  alignas(64) static thread_local double costs[block];
+  alignas(64) static thread_local std::uint16_t codes[block];
+  const std::uint64_t end = 2 * half - base;
+  for (std::uint64_t f = end - count; f < end; f += block) {
+    const std::uint64_t top = 2 * half - 1 - f;  // half index of amp f
+    for (std::uint64_t t = 0; t < block; ++t) a[t] = amp[top - t];
+    if (red.codes) {
+      for (std::uint64_t t = 0; t < block; ++t) codes[t] = red.codes[top - t];
+      partials[f / block] =
+          k.expectation_u16(a, codes, red.offset, red.scale, block);
+    } else {
+      for (std::uint64_t t = 0; t < block; ++t) costs[t] = red.costs[top - t];
+      partials[f / block] = k.expectation(a, costs, block);
+    }
+  }
+}
+
+/// Both halves' partials of the half-state piece [base, base+count): its
+/// own blocks and their upper-half mirror images.
+template <class T>
+void reduce_half_piece(const simd::detail::KernelsT<T>& k,
+                       const std::complex<T>* amp, const ExpectationCtx& red,
+                       std::uint64_t half, std::uint64_t base,
+                       std::uint64_t count, double* partials) {
+  reduce_piece(k, amp, red, base, count, partials);
+  reduce_mirror_piece(k, amp, red, half, base, count, partials);
 }
 
 /// The diagonal phase on amp[base, base+count), double or u16 path.
@@ -220,6 +276,29 @@ void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
       });
 }
 
+/// The mirror pass: qubit n-1's RX on the half state, one unit = a block
+/// of 2^width_log2 amplitudes and its mirror block (the half plan keeps
+/// the unit at most half the array, so the two never overlap). With `red`
+/// set, each unit then reduces both blocks and their upper-half images.
+template <class T>
+void run_mirror_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
+                     std::complex<T>* amp, std::uint64_t n_amps, double c,
+                     double s, Exec exec, const ExpectationCtx* red,
+                     double* partials) {
+  const std::uint64_t unit = 1ull << p.width_log2;
+  const std::int64_t units = static_cast<std::int64_t>(n_amps / (2 * unit));
+  for_units(exec, units, static_cast<std::int64_t>(2 * unit),
+            [&](std::int64_t u) {
+              const std::uint64_t lo = static_cast<std::uint64_t>(u) * unit;
+              k.mirror_rx(amp, n_amps, lo, lo + unit, c, s);
+              if (red) {
+                reduce_half_piece(k, amp, *red, n_amps, lo, unit, partials);
+                reduce_half_piece(k, amp, *red, n_amps, n_amps - lo - unit,
+                                  unit, partials);
+              }
+            });
+}
+
 /// Shared body of run_layer / run_layer_expectation. When `red` is set the
 /// FINAL pass also reduces each unit into `partials` (see the header's
 /// determinism argument).
@@ -252,11 +331,16 @@ void run_layer_impl(const LayerPlan& plan, std::complex<T>* amp,
                                                 : &plan.passes().back();
   for (const LayerPass& p : plan.passes()) {
     const ExpectationCtx* pass_red = (red && &p == last) ? red : nullptr;
-    obs::Span pspan(p.strided ? "strided_pass" : "tile_pass");
+    obs::Span pspan(p.mirror    ? "mirror_pass"
+                    : p.strided ? "strided_pass"
+                                : "tile_pass");
     pspan.attr("q_begin", p.q_begin);
     pspan.attr("q_end", p.q_end);
     pspan.attr("width_log2", p.width_log2);
-    if (p.strided) {
+    if (p.mirror) {
+      mirror_pass_counter().add();
+      run_mirror_pass(k, p, amp, n_amps, c, s, exec, pass_red, partials);
+    } else if (p.strided) {
       strided_pass_counter().add();
       run_strided_pass(k, p, amp, n_amps, pop_table, c, s, exec, pass_red,
                        partials);

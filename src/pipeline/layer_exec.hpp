@@ -83,6 +83,13 @@ bool can_fuse_expectation(const LayerPlan& plan, std::uint64_t n_amps);
 /// can_fuse_expectation(plan, n_amps).
 /// `partials` is double at both precisions (reductions never accumulate
 /// at float width — see DESIGN.md "Mixed precision").
+///
+/// On a half plan (LayerPlan::build_half: amp holds the lower 2^(n-1)
+/// amplitudes of a flip-symmetric state) the mirror pass reduces, and
+/// `partials` covers the whole 2^n state: 2 * n_amps / kReduceBlock
+/// slots, the upper ones filled from mirrored blocks, so the index-order
+/// sum is bit for bit the full state's expectation (DESIGN.md "Half-space
+/// evolution").
 void run_layer_expectation(const LayerPlan& plan, cdouble* amp,
                            std::uint64_t n_amps, const PhaseCtx& phase,
                            double gamma, double beta, Exec exec,

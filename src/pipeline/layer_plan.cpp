@@ -1,8 +1,13 @@
 #include "pipeline/layer_plan.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+
+#include "common/parallel.hpp"
 
 namespace qokit::pipeline {
 
@@ -107,6 +112,52 @@ LayerPlan LayerPlan::build(int num_qubits, MixerType mixer,
   }
   plan.active_ = true;
   plan.reason_.clear();
+  return plan;
+}
+
+LayerPlan LayerPlan::build_half(int num_qubits, MixerType mixer,
+                               MixerBackend backend,
+                               const PipelineOptions& opts) {
+  if (mixer != MixerType::X || backend != MixerBackend::Fused ||
+      num_qubits < kMinHalfQubits) {
+    LayerPlan plan;
+    plan.n_ = num_qubits;
+    plan.opts_ = opts;
+    if (mixer != MixerType::X)
+      plan.reason_ = "xy mixer: the half space needs the X mixer and the "
+                     "|+>^n start; using the full space";
+    else if (backend != MixerBackend::Fused)
+      plan.reason_ = "fwht backend: the two-transform mixer has no mirror "
+                     "pass; using the full space";
+    else
+      plan.reason_ = "n=" + std::to_string(num_qubits) + " < " +
+                     std::to_string(kMinHalfQubits) +
+                     ": too small to gain (each half must hold two "
+                     "reduce blocks); using the full space";
+    return plan;
+  }
+  PipelineOptions half = opts;
+  half.geometry.tile_log2 = opts.geometry.tile_log2 - 1;
+  LayerPlan plan = build(num_qubits - 1, MixerType::X, MixerBackend::Fused,
+                         half);
+  if (!plan.active()) return plan;
+  // Units of at least one reduce block and at most half the array, so a
+  // unit and its mirror never overlap. A half state that is one tile gets
+  // one unit: the full plan runs such a state as a single serial tile, and
+  // the mirror pass adds no parallel region it lacks.
+  const int reduce_log2 = std::countr_zero(
+      static_cast<std::uint64_t>(kReduceBlock));
+  static_assert((std::uint64_t{1} << (kMinHalfQubits - 2)) >=
+                    static_cast<std::uint64_t>(kReduceBlock),
+                "a mirror unit must hold a whole reduce block");
+  const bool one_tile = plan.passes_.front().width_log2 >= num_qubits - 1;
+  plan.passes_.push_back(LayerPass{
+      .mirror = true,
+      .q_begin = num_qubits - 1,
+      .q_end = num_qubits,
+      .width_log2 = one_tile ? num_qubits - 2
+                             : std::clamp(opts.geometry.chunk_log2,
+                                          reduce_log2, num_qubits - 2)});
   return plan;
 }
 

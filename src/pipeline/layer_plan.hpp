@@ -70,8 +70,12 @@ enum class PassButterfly { Rx, Hadamard };
 /// One fused full-array sweep: an optional leading elementwise multiply,
 /// butterflies over qubits [q_begin, q_end) in ascending order, and an
 /// optional trailing elementwise multiply, all applied unit-by-unit.
+/// A mirror pass (half-space plans only) is the RX butterfly of qubit
+/// q_begin = n-1 on a flip-symmetric state held as its lower half: each
+/// unit is a block of 2^width_log2 amplitudes and its mirror block.
 struct LayerPass {
   bool strided = false;  ///< false: contiguous tiles; true: row groups
+  bool mirror = false;   ///< the half-space top-qubit pass
   int q_begin = 0;       ///< first butterfly qubit
   int q_end = 0;         ///< one past the last butterfly qubit
   PassButterfly butterfly = PassButterfly::Rx;
@@ -109,12 +113,27 @@ class LayerPlan {
   static LayerPlan build_rx_sweep(int num_qubits, int q_begin, int q_end,
                                   const PipelineOptions& opts);
 
+  /// The half-space plan for an n-qubit flip-symmetric Fused X-mixer
+  /// layer: build() over the 2^(n-1) lower amplitudes (qubits 0..n-2) with
+  /// the tile one qubit smaller -- the same tile count, hence the same
+  /// thread fan-out, as the full plan -- then one mirror pass for qubit
+  /// n-1. Inactive, naming the reason, for the xy mixers, the fwht
+  /// backend, a disabled pipeline, and n below kMinHalfQubits.
+  static LayerPlan build_half(int num_qubits, MixerType mixer,
+                              MixerBackend backend,
+                              const PipelineOptions& opts);
+
+  /// Smallest n a half plan takes: each half must hold two kReduceBlocks,
+  /// so the mirror pass's units carry whole fused-expectation blocks.
+  static constexpr int kMinHalfQubits = 12;
+
   bool active() const noexcept { return active_; }
   /// Why the plan is inactive (empty when active) — the pinned diagnostic
   /// for fallback paths.
   const std::string& fallback_reason() const noexcept { return reason_; }
 
   std::span<const LayerPass> passes() const noexcept { return passes_; }
+  /// Qubits of the array the plan runs over: n, or n - 1 for a half plan.
   int num_qubits() const noexcept { return n_; }
   const PipelineOptions& options() const noexcept { return opts_; }
 

@@ -59,9 +59,19 @@ std::uint64_t session_footprint_bytes(const api::ProblemSession& session) {
   const Precision prec = session.simulator().precision();
   std::uint64_t bytes =
       session_footprint_bytes(n, session.terms().size(), prec);
+  if (session.simulator().half_space()) {
+    // Half storage: the three statevectors hold 2^(n-1) amplitudes each,
+    // plus the 2^n scratch a slot expands into for overlaps, samples and
+    // kept states.
+    const std::uint64_t amps = std::uint64_t{1} << n;
+    bytes -= 3 * (amps / 2) * amplitude_bytes(prec);
+    bytes += amps * amplitude_bytes(prec);
+  }
   if (const auto* fur =
           dynamic_cast<const FurQaoaSimulator*>(&session.simulator())) {
-    bytes += fur->layer_plan().passes().size() * sizeof(pipeline::LayerPass);
+    bytes += (fur->layer_plan().passes().size() +
+              fur->half_plan().passes().size()) *
+             sizeof(pipeline::LayerPass);
     if (fur->config().use_u16) {
       const std::uint64_t dim = std::uint64_t{1} << n;
       // uint16 code per amplitude, plus the 65536-entry phase-factor

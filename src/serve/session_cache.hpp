@@ -56,12 +56,14 @@ std::uint64_t session_footprint_bytes(int num_qubits, std::size_t num_terms,
                                       Precision prec = Precision::F64);
 
 /// Footprint of a *built* session: the (n, terms) estimate above plus the
-/// buffers only a live session reveals — the LayerPlan's pass schedule
+/// buffers only a live session reveals — the LayerPlans' pass schedules
 /// and, for u16-diagonal specs, the uint16 code array and the per-gamma
-/// 65536-entry phase-factor table. The cache charges this overload after
-/// a build so the LRU budget sees what the session actually holds (the
-/// two-argument estimate undercounted u16 sessions by ~dim*2 bytes,
-/// deferring evictions past the configured budget).
+/// 65536-entry phase-factor table. A half-space session's statevectors
+/// are charged at 2^(n-1) amplitudes, plus the one 2^n scratch its slots
+/// expand into for overlaps, samples and kept states. The cache charges
+/// this overload after a build so the LRU budget sees what the session
+/// actually holds (the two-argument estimate undercounted u16 sessions by
+/// ~dim*2 bytes, deferring evictions past the configured budget).
 std::uint64_t session_footprint_bytes(const api::ProblemSession& session);
 
 class SessionCache;

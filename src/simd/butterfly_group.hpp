@@ -27,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <complex>
 #include <cstdint>
 
@@ -263,6 +264,49 @@ struct RadixGroup {
           }
           if (vec < run) rows_per_qubit(q, m, base + vec, run - vec, tail);
         });
+  }
+};
+
+/// KernelsT::mirror_rx over one ISA's register operations (Ops as for
+/// RadixGroup, plus reverse(v): the register's complexes in reverse
+/// order). The register at amplitude i meets the reversed register that
+/// ends at i's mirror, and the two go through cross<Rx> -- the operation
+/// qubit n-1 gets in RadixGroup -- so each lane computes fma(c, a, s * m)
+/// on the two values the full state pairs. A range end short of a whole
+/// register (the mirror pass issues none) takes the same per-lane fma in
+/// scalar form.
+template <class Ops>
+struct MirrorRx {
+  using T = typename Ops::T;
+  using V = typename Ops::V;
+  using C = std::complex<T>;
+  static constexpr std::uint64_t kW = 1ull << Ops::kLog2W;
+
+  static void run(C* x, std::uint64_t half, std::uint64_t kb,
+                  std::uint64_t ke, double c, double s) {
+    T* d = reinterpret_cast<T*>(x);
+    const typename Ops::Coef k = Ops::template coef<Butterfly::Rx>(c, s);
+    std::uint64_t i = kb;
+    for (; i + kW <= ke; i += kW) {
+      T* pa = d + 2 * i;
+      T* pb = d + 2 * (half - i - kW);
+      V a = Ops::load(pa);
+      V b = Ops::reverse(Ops::load(pb));
+      Ops::template cross<Butterfly::Rx>(a, b, k);
+      Ops::store(pa, a);
+      Ops::store(pb, Ops::reverse(b));
+    }
+    const T tc = static_cast<T>(c);
+    const T ts = static_cast<T>(s);
+    for (; i < ke; ++i) {
+      T* a = d + 2 * i;
+      T* b = d + 2 * (half - 1 - i);
+      const T are = a[0], aim = a[1], bre = b[0], bim = b[1];
+      a[0] = std::fma(tc, are, ts * bim);
+      a[1] = std::fma(tc, aim, ts * -bre);
+      b[0] = std::fma(tc, bre, ts * aim);
+      b[1] = std::fma(tc, bim, ts * -are);
+    }
   }
 };
 

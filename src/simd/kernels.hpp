@@ -7,9 +7,9 @@
 // a scalar family (kernels_scalar.cpp, portable C++) and an AVX2+FMA family
 // (kernels_avx2.cpp, compiled only under QOKIT_SIMD on x86-64). An AVX-512
 // level (kernels_avx512.cpp) reuses the AVX2 table and replaces its f64
-// hot entries -- phase, phase_rx, rx_pairs, butterfly_group -- with 8-lane
-// versions that match AVX2 bit for bit. Dispatch is chosen once per
-// process via CPUID (common/cpu_features.hpp).
+// hot entries -- phase, phase_rx, rx_pairs, butterfly_group, mirror_rx --
+// with 8-lane versions that match AVX2 bit for bit. Dispatch is chosen
+// once per process via CPUID (common/cpu_features.hpp).
 //
 // Precision: every kernel exists for both amplitude widths — cdouble (the
 // default and oracle) and cfloat (the bandwidth-halving mixed-precision
@@ -145,6 +145,14 @@ struct KernelsT {
   void (*butterfly_group)(C* x, int q, int m, std::uint64_t gb,
                           std::uint64_t ge, Butterfly kind, double c,
                           double s);
+  /// The RX butterfly of qubit n-1 on a flip-symmetric n-qubit state held
+  /// as its lower half (`half` = 2^(n-1) amplitudes; the full state has
+  /// a(half + j) = a(half - 1 - j)): amplitude k pairs with its mirror
+  /// half - 1 - k, for k in [kb, ke), ke <= half / 2. Each amplitude gets
+  /// bit for bit the update butterfly_group gives it on the full state,
+  /// where the partner is the mirror's copy at k + half.
+  void (*mirror_rx)(C* x, std::uint64_t half, std::uint64_t kb,
+                    std::uint64_t ke, double c, double s);
   double (*expectation)(const C* amp, const double* costs,
                         std::uint64_t count);
   double (*expectation_u16)(const C* amp, const std::uint16_t* codes,

@@ -235,6 +235,7 @@ struct Avx2F64 {
   static constexpr bool in_register(int) { return true; }
   static V load(const double* p) { return _mm256_loadu_pd(p); }
   static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  static V reverse(V v) { return _mm256_permute2f128_pd(v, v, 0x01); }
   template <detail::Butterfly K>
   static Coef coef(double c, double s) {
     if constexpr (K == detail::Butterfly::Hadamard)
@@ -528,6 +529,10 @@ struct Avx2F32 {
   static constexpr bool in_register(int level) { return level == 0; }
   static V load(const float* p) { return _mm256_loadu_ps(p); }
   static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  static V reverse(V v) {
+    return _mm256_castpd_ps(
+        _mm256_permute4x64_pd(_mm256_castps_pd(v), 0x1B));
+  }
   template <detail::Butterfly K>
   static Coef coef(double c, double s) {
     if constexpr (K == detail::Butterfly::Hadamard)
@@ -680,6 +685,7 @@ const Kernels avx2_kernels = {
     .rx_pairs = rx_pairs_avx2,
     .hadamard_pairs = hadamard_pairs_avx2,
     .butterfly_group = detail::RadixGroup<Avx2F64>::run,
+    .mirror_rx = detail::MirrorRx<Avx2F64>::run,
     .expectation = expectation_avx2,
     .expectation_u16 = expectation_u16_avx2,
     .norm_squared = norm_squared_avx2,
@@ -694,6 +700,7 @@ const KernelsF32 avx2_kernels_f32 = {
     .rx_pairs = rx_pairs_avx2_f32,
     .hadamard_pairs = hadamard_pairs_avx2_f32,
     .butterfly_group = detail::RadixGroup<Avx2F32>::run,
+    .mirror_rx = detail::MirrorRx<Avx2F32>::run,
     .expectation = expectation_avx2_f32,
     .expectation_u16 = expectation_u16_avx2_f32,
     .norm_squared = norm_squared_avx2_f32,

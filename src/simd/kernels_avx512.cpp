@@ -3,9 +3,10 @@
 // imply); dispatch picks it when CPUID reports AVX2+FMA and AVX-512F+DQ.
 //
 // It carries the f64 hot kernels in 8 lanes: phase and phase_rx (with an
-// 8-lane sincos), rx_pairs (qubits 0 and 1 inside one register), and the
-// radix group kernel. Every other entry, and the whole f32 family, is the
-// AVX2 one. Each kernel here matches AVX2 bit for bit:
+// 8-lane sincos), rx_pairs (qubits 0 and 1 inside one register), the
+// radix group kernel and the half-space mirror butterfly. Every other
+// entry, and the whole f32 family, is the AVX2 one. Each kernel here
+// matches AVX2 bit for bit:
 //  - per lane it runs the AVX2 kernel's operation sequence on the same
 //    constants (sincos8 is sincos4 lane for lane; the butterflies are the
 //    same fma(c, a, s * m) and (a +- b) * k);
@@ -119,6 +120,7 @@ struct Avx512F64 {
   static constexpr bool in_register(int) { return true; }
   static V load(const double* p) { return _mm512_loadu_pd(p); }
   static void store(double* p, V v) { _mm512_storeu_pd(p, v); }
+  static V reverse(V v) { return _mm512_shuffle_f64x2(v, v, 0x1B); }
   template <detail::Butterfly K>
   static Coef coef(double c, double s) {
     if constexpr (K == detail::Butterfly::Hadamard)
@@ -234,6 +236,7 @@ const Kernels& avx512_kernels() noexcept {
     k.phase_rx = phase_rx_avx512;
     k.rx_pairs = rx_pairs_avx512;
     k.butterfly_group = RadixGroup<Avx512F64>::run;
+    k.mirror_rx = MirrorRx<Avx512F64>::run;
     return k;
   }();
   return table;

@@ -91,6 +91,27 @@ void rx_pairs_scalar(std::complex<T>* x, int qubit, std::uint64_t kb,
   }
 }
 
+/// rx_pairs_scalar's update with the partner at the mirror index: the
+/// pair (k, half - 1 - k) stands for the full state's (k, k + half).
+template <class T>
+void mirror_rx_scalar(std::complex<T>* x, std::uint64_t half,
+                      std::uint64_t kb, std::uint64_t ke, double c,
+                      double s) {
+  T* d = reinterpret_cast<T*>(x);
+  const T tc = static_cast<T>(c);
+  const T ts = static_cast<T>(s);
+  for (std::uint64_t k = kb; k < ke; ++k) {
+    const std::uint64_t i0 = k << 1;
+    const std::uint64_t i1 = (half - 1 - k) << 1;
+    const T x0re = d[i0], x0im = d[i0 + 1];
+    const T x1re = d[i1], x1im = d[i1 + 1];
+    d[i0] = tc * x0re + ts * x1im;
+    d[i0 + 1] = tc * x0im - ts * x1re;
+    d[i1] = tc * x1re + ts * x0im;
+    d[i1 + 1] = tc * x1im - ts * x0re;
+  }
+}
+
 template <class T>
 void hadamard_pairs_scalar(std::complex<T>* x, int qubit, std::uint64_t kb,
                            std::uint64_t ke) {
@@ -180,6 +201,7 @@ const Kernels scalar_kernels = {
     .rx_pairs = rx_pairs_scalar<double>,
     .hadamard_pairs = hadamard_pairs_scalar<double>,
     .butterfly_group = butterfly_group_scalar<double>,
+    .mirror_rx = mirror_rx_scalar<double>,
     .expectation = expectation_scalar<double>,
     .expectation_u16 = expectation_u16_scalar<double>,
     .norm_squared = norm_squared_scalar<double>,
@@ -194,6 +216,7 @@ const KernelsF32 scalar_kernels_f32 = {
     .rx_pairs = rx_pairs_scalar<float>,
     .hadamard_pairs = hadamard_pairs_scalar<float>,
     .butterfly_group = butterfly_group_scalar<float>,
+    .mirror_rx = mirror_rx_scalar<float>,
     .expectation = expectation_scalar<float>,
     .expectation_u16 = expectation_u16_scalar<float>,
     .norm_squared = norm_squared_scalar<float>,

@@ -1,5 +1,6 @@
 #include "statevector/state.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -47,14 +48,55 @@ StateVector StateVector::basis_state(int num_qubits, std::uint64_t x,
 
 StateVector StateVector::plus_state(int num_qubits, Precision prec) {
   StateVector sv(num_qubits, prec);
-  const double a = 1.0 / std::sqrt(static_cast<double>(sv.size()));
-  if (prec == Precision::F32) {
-    const cfloat v(static_cast<float>(a), 0.0f);
-    for (auto& amp : sv.amp32_) amp = v;
-  } else {
-    for (auto& amp : sv.amp64_) amp = cdouble(a, 0.0);
-  }
+  sv.fill_real(1.0 / std::sqrt(static_cast<double>(sv.size())));
   return sv;
+}
+
+StateVector StateVector::plus_state_half(int num_qubits, Precision prec) {
+  if (num_qubits < 1 || num_qubits > kMaxQubits)
+    throw std::invalid_argument("plus_state_half: unsupported qubit count");
+  StateVector sv(num_qubits - 1, prec);
+  sv.fill_real(1.0 / std::sqrt(static_cast<double>(dim_of(num_qubits))));
+  sv.n_ = num_qubits;
+  sv.half_ = true;
+  return sv;
+}
+
+void StateVector::fill_real(double a) {
+  if (prec_ == Precision::F32) {
+    const cfloat v(static_cast<float>(a), 0.0f);
+    for (auto& amp : amp32_) amp = v;
+  } else {
+    for (auto& amp : amp64_) amp = cdouble(a, 0.0);
+  }
+}
+
+namespace {
+
+/// full = [half, half reversed]: a(x) for the lower indices, a(~x) =
+/// a(2h - 1 - x) for the upper ones. resize() keeps a sized buffer.
+template <class C>
+void expand_amps(const aligned_vector<C>& half, aligned_vector<C>& full) {
+  full.resize(2 * half.size());
+  std::copy(half.begin(), half.end(), full.begin());
+  std::reverse_copy(half.begin(), half.end(),
+                    full.begin() + static_cast<std::ptrdiff_t>(half.size()));
+}
+
+}  // namespace
+
+void StateVector::expand_into(StateVector& full) const {
+  if (!half_) throw std::logic_error("expand_into: not a half state");
+  full.n_ = n_;
+  full.prec_ = prec_;
+  full.half_ = false;
+  if (prec_ == Precision::F32) {
+    full.amp64_.clear();
+    expand_amps(amp32_, full.amp32_);
+  } else {
+    full.amp32_.clear();
+    expand_amps(amp64_, full.amp64_);
+  }
 }
 
 StateVector StateVector::dicke_state(int num_qubits, int weight,
@@ -78,7 +120,9 @@ StateVector StateVector::dicke_state(int num_qubits, int weight,
 
 StateVector StateVector::to_precision(Precision prec) const {
   if (prec == prec_) return *this;
-  StateVector out(n_, prec);
+  StateVector out(half_ ? n_ - 1 : n_, prec);
+  out.n_ = n_;
+  out.half_ = half_;
   if (prec == Precision::F32) {
     for (std::uint64_t i = 0; i < size(); ++i)
       out.amp32_[i] = cfloat(static_cast<float>(amp64_[i].real()),

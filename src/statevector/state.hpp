@@ -68,6 +68,11 @@ class StateVector {
   static StateVector plus_state(int num_qubits,
                                 Precision prec = Precision::F64);
 
+  /// |+>^n in half storage (see is_half()): 2^(n-1) amplitudes, each the
+  /// value plus_state(n) holds. The half-space simulator's start state.
+  static StateVector plus_state_half(int num_qubits,
+                                     Precision prec = Precision::F64);
+
   /// Dicke state |D_n^k>: equal superposition of all basis states with
   /// Hamming weight k. The in-sector initial state for xy mixers
   /// (f64-only subsystem; F32 Dicke states are still constructible).
@@ -76,6 +81,16 @@ class StateVector {
 
   int num_qubits() const noexcept { return n_; }
   Precision precision() const noexcept { return prec_; }
+  /// Half storage of a flip-symmetric n-qubit state, a(x) == a(~x): only
+  /// the lower 2^(n-1) amplitudes are held (size() counts those). Made by
+  /// FurQaoaSimulator::start_state() and consumed by that simulator's
+  /// half-space path; expand_into() gives the 2^n state every other
+  /// caller expects.
+  bool is_half() const noexcept { return half_; }
+  /// Write the full 2^n state of a half state into `full`, reusing its
+  /// buffer when it already holds 2^n amplitudes. Throws on a full state.
+  void expand_into(StateVector& full) const;
+  /// Stored amplitudes: 2^n, or 2^(n-1) for a half state.
   std::uint64_t size() const noexcept {
     return prec_ == Precision::F32 ? amp32_.size() : amp64_.size();
   }
@@ -140,8 +155,11 @@ class StateVector {
   double max_abs_diff(const StateVector& other) const;
 
  private:
+  void fill_real(double a);  ///< every stored amplitude = a + 0i
+
   int n_ = 0;
   Precision prec_ = Precision::F64;
+  bool half_ = false;
   aligned_vector<cdouble> amp64_;
   aligned_vector<cfloat> amp32_;
 };

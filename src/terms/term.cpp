@@ -92,6 +92,12 @@ int TermList::max_order() const noexcept {
   return m;
 }
 
+bool is_flip_symmetric(const TermList& terms) {
+  for (const Term& t : terms)
+    if (t.mask != 0 && t.order() % 2 != 0) return false;
+  return true;
+}
+
 double TermList::weight_l1() const noexcept {
   double acc = 0.0;
   for (const Term& t : terms_)

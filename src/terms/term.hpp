@@ -87,4 +87,10 @@ class TermList {
   std::vector<Term> terms_;
 };
 
+/// True when every non-constant term has even order, hence f(x) = f(~x)
+/// under the global spin flip ~x (MaxCut, LABS and SK qualify; linear
+/// terms, as in SAT and portfolio, do not). The precondition of the
+/// half-space evolution (DESIGN.md "Half-space evolution").
+bool is_flip_symmetric(const TermList& terms);
+
 }  // namespace qokit

@@ -528,6 +528,44 @@ TEST_F(ObsTest, TimingsAndObsNeverChangeResults) {
   }
 }
 
+TEST_F(ObsTest, HalfSpaceDecisionIsTracedAndObsNeverChangesIt) {
+  // The simulate spans say which space ran; turning observability on or
+  // off never changes the choice or the bits.
+  const QaoaParams q = linear_ramp(3);
+  double expectation[2] = {0.0, 0.0};
+  for (const bool observed : {false, true}) {
+    obs::set_enabled(observed);
+    const api::ProblemSession s = api::ProblemSession::labs(
+        13, SimulatorSpec::parse("auto:pipeline=on"));
+    EXPECT_TRUE(s.simulator().half_space()) << observed;
+    expectation[observed] = s.evaluate(q).expectation.value();
+  }
+  EXPECT_EQ(expectation[0], expectation[1]);
+
+  // n = 13 takes the half space; n = 11 is below kMinHalfQubits and runs
+  // the full fused path.
+  for (const int n : {13, 11}) {
+    obs::set_enabled(true);
+    obs::reset();
+    const api::ProblemSession s = api::ProblemSession::labs(
+        n, SimulatorSpec::parse("auto:pipeline=on"));
+    EXPECT_EQ(s.simulator().half_space(), n == 13);
+    s.evaluate(q);
+    api::EvalRequest evolve_only;  // simulate without the fused reduction
+    evolve_only.expectation = false;
+    evolve_only.overlap = true;
+    s.evaluate(q, evolve_only);
+    const std::string trace = obs::trace_json();
+    const char* half = s.simulator().half_space() ? "\"half\":1"
+                                                  : "\"half\":0";
+    EXPECT_NE(event_line(trace, "simulate_expectation").find(half),
+              std::string::npos)
+        << n;
+    EXPECT_NE(event_line(trace, "simulate").find(half), std::string::npos)
+        << n;
+  }
+}
+
 TEST_F(ObsTest, GaugeAndResetSemantics) {
   obs::set_enabled(true);
   const obs::Gauge g = obs::gauge("qokit_test_gauge");

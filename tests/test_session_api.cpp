@@ -577,5 +577,29 @@ TEST(ProblemSession, RejectsProblemsAboveTheQubitLimitBeforeAllocating) {
   }
 }
 
+TEST(ProblemSession, DirectConstructionRejectsProblemsAboveTheQubitLimit) {
+  // The simulators' own constructors name an oversized n before their
+  // member initializers allocate the 2^46-entry diagonal.
+  const TermList terms(46, {{1.0, 0b11}, {0.5, 1ull << 45}});
+  const auto expect_named = [](const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("46"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(kMaxQubits)), std::string::npos)
+        << what;
+  };
+  try {
+    const FurQaoaSimulator sim(terms, {});
+    FAIL() << "FurQaoaSimulator: expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    expect_named(e);
+  }
+  try {
+    const DistributedFurSimulator sim(terms, {.ranks = 2});
+    FAIL() << "DistributedFurSimulator: expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    expect_named(e);
+  }
+}
+
 }  // namespace
 }  // namespace qokit

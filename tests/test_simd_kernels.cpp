@@ -427,6 +427,46 @@ TEST(SimdGroup, MatchesSingleQubitCallsAtEveryLevel) {
   }
 }
 
+/// mirror_rx on a half state must give every amplitude exactly what the
+/// family's butterfly_group gives it as qubit n-1 of the full
+/// flip-symmetric state -- whole range, and split at register-unaligned
+/// points so the vector families' scalar-fma tail is covered too.
+template <class T>
+void expect_mirror_matches_top_qubit(const simd::detail::KernelsT<T>& k) {
+  const int n = 9;
+  const std::uint64_t half = std::uint64_t{1} << (n - 1);
+  const double c = std::cos(0.41), s = std::sin(0.41);
+  const auto lower = ramp_amps<T>(half, 211);
+  std::vector<std::complex<T>> full(2 * half);
+  for (std::uint64_t x = 0; x < half; ++x) {
+    full[x] = lower[x];
+    full[2 * half - 1 - x] = lower[x];
+  }
+  k.butterfly_group(full.data(), n - 1, 1, 0, half,
+                    simd::detail::Butterfly::Rx, c, s);
+  for (const std::uint64_t cut : {std::uint64_t{0}, std::uint64_t{3},
+                                  half / 2 - 5}) {
+    auto h = lower;
+    k.mirror_rx(h.data(), half, 0, cut, c, s);
+    k.mirror_rx(h.data(), half, cut, half / 2, c, s);
+    for (std::uint64_t x = 0; x < half; ++x) {
+      ASSERT_EQ(h[x], full[x]) << "cut " << cut << " amplitude " << x;
+      ASSERT_EQ(h[x], full[2 * half - 1 - x]) << "cut " << cut << " mirror "
+                                              << x;
+    }
+  }
+}
+
+TEST(SimdMirror, MatchesTheTopQubitButterflyAtEveryLevel) {
+  SimdLevelGuard guard;
+  for (const SimdLevel level : supported_simd_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
+    force_simd_level(level);
+    expect_mirror_matches_top_qubit(simd::detail::active_kernels());
+    expect_mirror_matches_top_qubit(simd::detail::active_kernels_f32());
+  }
+}
+
 #if QOKIT_SIMD_X86
 /// Runs one f64 kernel at AVX2 and at AVX-512 on identical inputs.
 template <class F>

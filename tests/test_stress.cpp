@@ -74,18 +74,25 @@ TEST(Stress, XySectorStaysExactAtDepth200) {
   EXPECT_NEAR(r.norm_squared(), 1.0, 1e-9);
 }
 
-TEST(Stress, SymmetricSimulatorDeepAgreement) {
-  const TermList terms = labs_terms(8);
+TEST(Stress, HalfSpaceDeepAgreement) {
+  // 100 layers on the half space (start_state()) against the same
+  // simulator's full path (initial_state()): the mirror pass must not
+  // drift by a single bit.
+  const TermList terms = labs_terms(12);
   std::vector<double> g(100), b(100);
   Rng rng(5);
   for (int l = 0; l < 100; ++l) {
     g[l] = rng.uniform(-0.3, 0.3);
     b[l] = rng.uniform(-0.8, 0.8);
   }
-  const FurQaoaSimulator full(terms, {});
-  const SymmetricFurSimulator half(terms);
-  EXPECT_NEAR(full.get_expectation(full.simulate_qaoa(g, b)),
-              half.get_expectation(half.simulate_qaoa(g, b)), 1e-7);
+  FurConfig cfg;
+  cfg.pipeline.mode = pipeline::PipelineMode::On;
+  const FurQaoaSimulator sim(terms, cfg);
+  ASSERT_TRUE(sim.half_space());
+  StateVector h = sim.start_state();
+  StateVector f = sim.initial_state();
+  EXPECT_EQ(sim.simulate_qaoa_expectation(h, g, b),
+            sim.simulate_qaoa_expectation(f, g, b));
 }
 
 TEST(Stress, PhaseUnwindingIsExactInverse) {
