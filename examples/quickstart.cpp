@@ -15,7 +15,7 @@ int main() {
   const Graph g = Graph::complete(n, 0.3);
 
   // The session owns the simulator, the precomputed cost diagonal, and
-  // the cached initial state; every later query reuses all three.
+  // a scratch state; every later query reuses all three.
   const api::ProblemSession session =
       api::ProblemSession::maxcut(g, SimulatorSpec::parse("auto"));
 

@@ -4,11 +4,11 @@
 // diagonal once, then make each layer (and, with src/batch/, each
 // schedule) cheap. ProblemSession carries that economics to the API
 // boundary: construct it once per problem and it owns the simulator, the
-// precomputed diagonal, the cached initial state, a BatchEvaluator
-// scratch pool, and the sampling seed; every entry point -- scalar
-// evaluation, batched evaluation, optimization, sampling -- then routes
-// through one typed EvalRequest/EvalResult surface with zero re-
-// precompute and zero steady-state statevector allocations. The one-line
+// precomputed diagonal, a BatchEvaluator scratch pool, and the sampling
+// seed; every entry point -- scalar evaluation, batched evaluation,
+// optimization, sampling -- then routes through one typed
+// EvalRequest/EvalResult surface with zero re-precompute and zero
+// steady-state statevector allocations. The one-line
 // free functions in api/qokit.hpp remain as the stable compatibility
 // layer; each is a thin wrapper over a throwaway session.
 #pragma once
@@ -144,12 +144,12 @@ struct OptimizerSpec {
 };
 
 /// A reusable handle over one problem: owns the simulator (and with it
-/// the precomputed cost diagonal), the cached initial state, the batch
-/// scratch pool, and the sampling seed from its SimulatorSpec. Repeated
-/// calls perform zero re-precompute and zero steady-state statevector
-/// allocations (pinned by tests/test_session_api.cpp via the
-/// instrumented AlignedAllocator counter). Results are bit-identical to
-/// the legacy free functions on every backend.
+/// the precomputed cost diagonal), the batch scratch pool, and the
+/// sampling seed from its SimulatorSpec. Repeated calls perform zero
+/// re-precompute and zero steady-state statevector allocations (pinned by
+/// tests/test_session_api.cpp via the instrumented AlignedAllocator
+/// counter). Results are bit-identical to the legacy free functions on
+/// every backend.
 ///
 /// Single-caller contract: a session is NOT safe for concurrent calls on
 /// one instance -- evaluate / evaluate_batch / expectations / optimize /

@@ -251,19 +251,20 @@ class GateSimAdapter final : public QaoaFastSimulatorBase {
 
   int num_qubits() const override { return terms_.num_qubits(); }
 
-  StateVector initial_state() const override {
+  void start_state_into(StateVector& slot) const override {
     const int n = num_qubits();
     if (mixer_ == MixerType::X) {
       // The legacy GateQaoaSimulator circuit opens with an H layer on
-      // |0...0>. Run that layer here, once, so chained simulate_qaoa_from
-      // calls evolve |+>^n exactly as the single call does.
-      StateVector state = StateVector::basis_state(n, 0);
-      run_circuit(state, compile_qaoa_circuit(terms_, {}, {}), exec_);
-      return state;
+      // |0...0>. Run that layer here, in place on the slot, so chained
+      // simulate_qaoa_from calls evolve |+>^n exactly as the single call
+      // does.
+      slot.assign_basis(n, 0, Precision::F64);
+      run_circuit(slot, compile_qaoa_circuit(terms_, {}, {}), exec_);
+      return;
     }
     // xy runs start from the Dicke state, prepared directly.
     const int k = initial_weight_ >= 0 ? initial_weight_ : n / 2;
-    return StateVector::dicke_state(n, k);
+    slot.assign_dicke(n, k, Precision::F64);
   }
 
   StateVector simulate_qaoa_from(StateVector state,

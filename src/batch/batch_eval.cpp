@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/bitops.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
@@ -63,7 +64,7 @@ BatchEvaluator::BatchEvaluator(const QaoaFastSimulatorBase& sim,
                                BatchOptions opts)
     : sim_(&sim),
       opts_(opts),
-      init_(sim.start_state()),
+      start_amps_(dim_of(sim.num_qubits()) >> (sim.half_space() ? 1 : 0)),
       scratch_(static_cast<std::size_t>(max_threads())) {
   check_options(opts_, sim.num_qubits());
 }
@@ -83,13 +84,14 @@ BatchParallelism BatchEvaluator::resolve(BatchParallelism requested,
   if (sim_->prefers_sequential_batches()) return BatchParallelism::Inner;
   // Actual amplitude width (f32 states cost half), so the outer-scratch
   // budget admits twice the f32 slots it would f64 ones.
-  const std::uint64_t bytes = init_.bytes();
+  const std::uint64_t bytes =
+      start_amps_ * amplitude_bytes(sim_->precision());
   if (static_cast<std::uint64_t>(threads) * bytes > kMaxOuterScratchBytes)
     return BatchParallelism::Inner;
   // Sub-grain states get no inner parallelism at all (parallel_for runs
   // them serially), so threading across schedules is the only parallelism
   // available -- and it skips the per-kernel team dispatch entirely.
-  if (init_.size() < static_cast<std::uint64_t>(kParallelGrain))
+  if (start_amps_ < static_cast<std::uint64_t>(kParallelGrain))
     return BatchParallelism::Outer;
   // Large states: outer only when the batch can fill every thread;
   // otherwise the simulator's own kernels use the machine better.
@@ -131,20 +133,20 @@ void BatchEvaluator::evaluate_into(std::span<const QaoaParams> schedules,
             out.used == BatchParallelism::Outer ? "outer" : "inner");
 
   // The one evolve-and-score step every caller shares. Evolve schedule i
-  // in slot: refill from the cached initial state (a copy-assign that
-  // reuses the slot's buffer, so no allocation after the slot's first
-  // use), then evolve in place. A requested expectation rides the
-  // evolution (simulate_qaoa_expectation: fused into the final pass on
+  // in slot: the simulator writes its start state into the slot
+  // (start_state_into reuses the slot's buffer, so no allocation after
+  // the slot's first use), then evolves it in place. A requested expectation rides the evolution
+  // (simulate_qaoa_expectation: fused into the final pass on
   // FurQaoaSimulator, two-pass elsewhere, bit-identical either way).
   auto evolve = [&](std::size_t i, StateVector& slot) {
-    // A slot already sized (and precision-matched) like the initial state
+    // A slot already sized (and precision-matched) like the start state
     // refills in place; a fresh or mismatched slot pays an allocation.
-    if (slot.size() == init_.size() &&
-        slot.precision() == init_.precision())
+    if (slot.size() == start_amps_ &&
+        slot.precision() == sim_->precision())
       scratch_hits.add();
     else scratch_allocs.add();
     const std::uint64_t t0 = opts.record_timings ? tick_ns() : 0;
-    slot = init_;
+    sim_->start_state_into(slot);
     const QaoaParams& q = schedules[i];
     if (opts.compute_expectation)
       out.expectations[i] =

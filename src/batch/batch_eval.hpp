@@ -4,9 +4,9 @@
 // Algorithm 3 amortizes the cost-diagonal precompute over every QAOA
 // layer; a parameter-optimization or serving workload should amortize it
 // over every *schedule* too. BatchEvaluator owns that amortization: it
-// wraps one QaoaFastSimulatorBase (whose diagonal was precomputed once),
-// caches the initial state, and reuses per-thread scratch statevectors so
-// evaluating a batch of schedules performs zero steady-state allocations.
+// wraps one QaoaFastSimulatorBase (whose diagonal was precomputed once)
+// and reuses per-thread scratch statevectors so evaluating a batch of
+// schedules performs zero steady-state allocations.
 //
 // Parallelism is two-level and chosen by a cost heuristic (see DESIGN.md):
 //  - Outer: thread across schedules, one scratch state per thread. Wins
@@ -16,11 +16,15 @@
 //    simulator's own Exec policy. Wins for few large jobs, and is forced
 //    for simulators that already own the machine's threads (dist:K).
 // Either way each schedule runs the one evolve-and-score step every
-// caller shares (ProblemSession::evaluate is its batch of one): refill
-// from the simulator's start_state() (half storage on a flip-symmetric
-// FurQaoaSimulator, so slots move half the bytes), simulate_qaoa_expectation
-// when an expectation is requested (fused into the final pass on
-// FurQaoaSimulator), then overlap / samples / states on the 2^n state.
+// caller shares (ProblemSession::evaluate is its batch of one): the
+// simulator writes its start state into the slot in place
+// (start_state_into; half storage on a flip-symmetric FurQaoaSimulator, so
+// slots hold half the bytes), simulate_qaoa_expectation when an
+// expectation is requested (fused into the final pass on
+// FurQaoaSimulator), then overlap / samples / states on the 2^n state. A
+// slot's first fill is also the first touch of its pages, from the
+// threads of the plan's static schedule (an Outer-mode slot fills on its
+// own schedule's thread).
 // Results are bit-identical to a sequential simulate_qaoa +
 // get_expectation loop (the cross-validation suite asserts equality, not
 // tolerance). evaluate_into validates every request once: finite angles,
@@ -88,7 +92,7 @@ struct BatchResult {
 /// scratch pool is per-instance); distinct instances are independent.
 class BatchEvaluator {
  public:
-  /// `sim` must outlive the evaluator. Caches sim.start_state() once.
+  /// `sim` must outlive the evaluator.
   explicit BatchEvaluator(const QaoaFastSimulatorBase& sim,
                           BatchOptions opts = {});
 
@@ -136,9 +140,8 @@ class BatchEvaluator {
 
   const QaoaFastSimulatorBase* sim_;
   BatchOptions opts_;
-  /// Cached sim.start_state(), copied into scratch per job: half storage
-  /// on a half-space simulator, so every slot holds 2^(n-1) amplitudes.
-  StateVector init_;
+  /// Amplitudes of sim.start_state(): 2^(n-1) on a half-space simulator.
+  std::uint64_t start_amps_;
   mutable std::vector<StateVector> scratch_;  ///< one reusable state/thread
   /// The 2^n state a half-storage slot expands into for overlaps, samples
   /// and kept states; allocated on first use, then reused.

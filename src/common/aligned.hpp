@@ -5,8 +5,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -45,7 +47,7 @@ inline std::uint64_t aligned_allocation_count() {
 /// faulted in on (and therefore placed near) the thread that will sweep
 /// it: the pipeline's for_units dispatch uses the same static schedule,
 /// binding tile passes to the threads that touched those pages. Touched
-/// bytes are immediately overwritten by value-initialization; results are
+/// bytes are overwritten by the buffer's first writer; results are
 /// bit-identical with the switch on or off, at any thread count.
 inline void set_first_touch_enabled(bool on) {
   detail::first_touch_enabled.store(on, std::memory_order_relaxed);
@@ -59,6 +61,16 @@ inline bool first_touch_enabled() {
 /// Allocator returning 64-byte aligned memory so that SIMD loads in the hot
 /// kernels never straddle cache lines and false sharing between OpenMP
 /// threads is avoided at chunk boundaries.
+///
+/// Default-init: `aligned_vector<T>(n)` and `resize(n)` leave trivially
+/// copyable elements unwritten (construct(U*) below), so a 2^n buffer is
+/// not zero-filled on one thread before its producer overwrites it; the
+/// parallel kernel that writes it first also faults its pages in, on the
+/// threads that later sweep them. Callers that need zeros say so:
+/// `assign(n, T{})` or `resize(n, T{})`. In builds without NDEBUG every
+/// default-initialized element is poisoned with all-ones bytes, a quiet
+/// NaN for float and double, so a read before the first write surfaces
+/// as a NaN result in the Debug and sanitizer test runs.
 template <class T, std::size_t Alignment = 64>
 struct AlignedAllocator {
   using value_type = T;
@@ -100,6 +112,23 @@ struct AlignedAllocator {
   }
 
   void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+
+  /// Default-initialization (vector(n), resize(n)): writes nothing for
+  /// trivially copyable types, the Debug poison described above. Every
+  /// construction with arguments (assign(n, v), copies) has no matching
+  /// member, so allocator_traits constructs it as usual.
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    if constexpr (std::is_trivially_copyable_v<U>) {
+#ifndef NDEBUG
+      std::memset(static_cast<void*>(p), 0xFF, sizeof(U));
+#else
+      (void)p;
+#endif
+    } else {
+      ::new (static_cast<void*>(p)) U;
+    }
+  }
 
   template <class U>
   bool operator==(const AlignedAllocator<U, Alignment>&) const noexcept {

@@ -101,6 +101,8 @@ CostDiagonal CostDiagonal::precompute(const TermList& terms, Exec exec) {
   span.attr("terms", static_cast<std::int64_t>(terms.size()));
   CostDiagonal d;
   d.n_ = terms.num_qubits();
+  // Unwritten until the transform's parallel blocks write (and first
+  // touch) it: aligned_vector(n) does not zero-fill.
   d.values_.resize(dim_of(d.n_));
   fill_cost_diagonal(terms, 0, d.values_.size(), d.values_.data(), exec);
   return d;
@@ -111,7 +113,7 @@ CostDiagonal CostDiagonal::from_function(
   CostDiagonal d;
   d.n_ = num_qubits;
   const std::int64_t dim = static_cast<std::int64_t>(dim_of(num_qubits));
-  d.values_.assign(dim, 0.0);
+  d.values_.resize(dim);  // every entry written below
   double* out = d.values_.data();
   parallel_for(exec, 0, dim, [&](std::int64_t x) {
     out[x] = f(static_cast<std::uint64_t>(x));

@@ -124,8 +124,9 @@ DistributedFurSimulator::DistributedFurSimulator(const TermList& terms,
       nl, nl - log2_ranks_, nl, cfg_.pipeline);
 }
 
-StateVector DistributedFurSimulator::initial_state() const {
-  return StateVector::plus_state(num_qubits(), cfg_.prec);
+void DistributedFurSimulator::start_state_into(StateVector& slot) const {
+  slot.assign_plus(num_qubits(), cfg_.prec, /*half=*/false, Exec::Parallel,
+                   local_plan_.tile_amps());
 }
 
 namespace {
@@ -141,7 +142,7 @@ void dist_schedule(const VirtualRankWorld& world,
                    std::complex<T>* data, std::uint64_t local,
                    const double* costs, int n, int g,
                    std::span<const double> gammas,
-                   std::span<const double> betas) {
+                   std::span<const double> betas, const obs::Span& parent) {
   static const obs::Histogram layer_hist = obs::histogram("qokit_layer_ns");
   world.run([&](Communicator& comm) {
     const std::uint64_t base = static_cast<std::uint64_t>(comm.rank()) * local;
@@ -151,10 +152,11 @@ void dist_schedule(const VirtualRankWorld& world,
     const std::uint64_t block = local >> g;
     for (std::size_t l = 0; l < gammas.size(); ++l) {
       // One `layer` span per layer, from rank 0: the ranks move through a
-      // layer in lockstep (every alltoall is a barrier).
+      // layer in lockstep (every alltoall is a barrier). It opens on the
+      // rank's thread but nests under the caller's `simulate` span.
       std::optional<obs::Span> span;
       if (comm.rank() == 0) {
-        span.emplace("layer", layer_hist);
+        span.emplace("layer", layer_hist, parent);
         span->attr("layer", static_cast<std::int64_t>(l));
       }
       if (local_plan.active()) {
@@ -201,10 +203,10 @@ StateVector DistributedFurSimulator::simulate_qaoa_from(
   const int g = log2_ranks_;
   if (state.precision() == Precision::F32)
     dist_schedule(world_, local_plan_, global_sweep_plan_, state.data_f32(),
-                  local, costs, n, g, gammas, betas);
+                  local, costs, n, g, gammas, betas, span);
   else
     dist_schedule(world_, local_plan_, global_sweep_plan_, state.data(),
-                  local, costs, n, g, gammas, betas);
+                  local, costs, n, g, gammas, betas, span);
   // The slices live in one contiguous buffer and the exchange is undone
   // every layer, so the "gather" is free.
   return state;

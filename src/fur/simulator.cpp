@@ -150,17 +150,25 @@ void FurQaoaSimulator::plan_half_space(std::string veto) {
 }
 
 StateVector FurQaoaSimulator::initial_state() const {
-  const int n = num_qubits();
-  if (cfg_.mixer == MixerType::X)
-    return StateVector::plus_state(n, cfg_.prec);
-  const int k = cfg_.initial_weight >= 0 ? cfg_.initial_weight : n / 2;
-  return StateVector::dicke_state(n, k, cfg_.prec);
+  StateVector state;
+  write_start(state, /*half=*/false);
+  return state;
 }
 
-StateVector FurQaoaSimulator::start_state() const {
-  if (half_space())
-    return StateVector::plus_state_half(num_qubits(), cfg_.prec);
-  return initial_state();
+void FurQaoaSimulator::start_state_into(StateVector& slot) const {
+  write_start(slot, half_space());
+}
+
+void FurQaoaSimulator::write_start(StateVector& slot, bool half) const {
+  const int n = num_qubits();
+  if (cfg_.mixer == MixerType::X) {
+    // One block per tile of the plan that will sweep the state first.
+    slot.assign_plus(n, cfg_.prec, half, cfg_.exec,
+                     (half ? half_plan_ : plan_).tile_amps());
+    return;
+  }
+  const int k = cfg_.initial_weight >= 0 ? cfg_.initial_weight : n / 2;
+  slot.assign_dicke(n, k, cfg_.prec);
 }
 
 void FurQaoaSimulator::check_state(const StateVector& state) const {

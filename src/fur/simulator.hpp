@@ -56,16 +56,28 @@ class QaoaFastSimulatorBase {
   virtual Precision precision() const { return Precision::F64; }
 
   /// Default initial state: |+>^n for the X mixer, the in-sector Dicke
-  /// state for xy mixers. Built at precision().
-  virtual StateVector initial_state() const = 0;
+  /// state for xy mixers; 2^n amplitudes at precision(). The base returns
+  /// start_state(), which is this state on every backend except a
+  /// half-space FurQaoaSimulator.
+  virtual StateVector initial_state() const { return start_state(); }
 
-  /// The state a batch evaluation evolves each schedule from:
+  /// Write the state every evaluation evolves from into `slot`, in place:
+  /// whatever `slot` held (any size, precision or storage) is overwritten,
+  /// and its buffer is reused whenever its capacity suffices, so a batch
+  /// slot refills without an allocation or a copy. That state is
   /// initial_state(), or on a half-space simulator the same state in half
   /// storage (StateVector::is_half), which only that simulator's
   /// simulate_qaoa_from / simulate_qaoa_expectation / get_expectation /
   /// get_overlap accept. Expand it (StateVector::expand_into) for anything
   /// that wants the 2^n state.
-  virtual StateVector start_state() const { return initial_state(); }
+  virtual void start_state_into(StateVector& slot) const = 0;
+
+  /// start_state_into() on a fresh state.
+  StateVector start_state() const {
+    StateVector state;
+    start_state_into(state);
+    return state;
+  }
 
   /// Whether start_state() is half storage, and why not when it is not.
   virtual bool half_space() const { return false; }
@@ -160,7 +172,7 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
   int num_qubits() const override { return diag_.num_qubits(); }
   Precision precision() const override { return cfg_.prec; }
   StateVector initial_state() const override;
-  StateVector start_state() const override;
+  void start_state_into(StateVector& slot) const override;
   bool half_space() const override { return half_plan_.active(); }
   std::string_view half_space_reason() const override {
     return half_reason_;
@@ -201,6 +213,8 @@ class FurQaoaSimulator final : public QaoaFastSimulatorBase {
   const pipeline::LayerPlan& plan_for(const StateVector& state) const {
     return state.is_half() ? half_plan_ : plan_;
   }
+  /// The start state in full or half storage, written into `slot`.
+  void write_start(StateVector& slot, bool half) const;
   pipeline::ExpectationCtx reduce_ctx() const;
   void check_state(const StateVector& state) const;
 

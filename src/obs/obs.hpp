@@ -164,9 +164,10 @@ struct Attr {
 
 /// Scoped tracing span: opens at construction, closes (and records a
 /// chrome://tracing complete event) at destruction. Spans nest per thread
-/// via a depth counter; attributes attach between open and close and are
-/// stored inline (no allocation until close appends the finished event to
-/// the thread's buffer). When observability is off the constructor is one
+/// via a depth counter (or under an explicit parent, see below);
+/// attributes attach between open and close and are stored inline (no
+/// allocation until close appends the finished event to the thread's
+/// buffer). When observability is off the constructor is one
 /// relaxed load and everything else a no-op.
 class Span {
  public:
@@ -183,6 +184,12 @@ class Span {
     hist_ = &hist;
     open(name);
   }
+  /// Same, opened as a child of `parent`, which may be open on another
+  /// thread (a worker doing part of the parent's work, like rank 0 of the
+  /// distributed simulator): the event records under the parent's thread
+  /// at the parent's depth + 1, and spans this thread opens meanwhile nest
+  /// under it the same way. Live only when `parent` is.
+  Span(const char* name, const Histogram& hist, const Span& parent) noexcept;
   ~Span() {
     if (live_) close();
   }
@@ -214,8 +221,12 @@ class Span {
   void close() noexcept;
 
   bool live_;
+  bool adopted_ = false;  ///< opened by the parent-taking constructor
   int n_attrs_ = 0;
   int depth_ = 0;
+  int tid_ = 0;           ///< thread the event records under
+  int prev_depth_ = 0;    ///< the opening thread's position, restored on
+  int prev_tid_ = 0;      ///< close of an adopted span
   const char* name_ = nullptr;
   const Histogram* hist_ = nullptr;
   std::uint64_t start_ = 0;

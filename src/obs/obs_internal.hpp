@@ -106,7 +106,14 @@ std::uint64_t now_ns() noexcept;
 /// Append a finished span to this thread's buffer (bounded; drops count).
 void push_event(const TraceEvent& event) noexcept;
 
-/// Per-thread span nesting depth.
-int& span_depth() noexcept;
+/// Where the next span this thread opens lands: its nesting depth, and
+/// the thread id its event records under (0: this thread's own). An
+/// adopted span (Span's parent-taking constructor) moves it under its
+/// parent while open.
+struct TracePosition {
+  int depth = 0;
+  int tid = 0;
+};
+TracePosition& trace_position() noexcept;
 
 }  // namespace qokit::obs::detail

@@ -5,9 +5,9 @@ namespace qokit::obs {
 
 namespace detail {
 
-int& span_depth() noexcept {
-  thread_local int depth = 0;
-  return depth;
+TracePosition& trace_position() noexcept {
+  thread_local TracePosition pos;
+  return pos;
 }
 
 void push_event(const TraceEvent& event) noexcept {
@@ -25,19 +25,41 @@ void push_event(const TraceEvent& event) noexcept {
 
 }  // namespace detail
 
+Span::Span(const char* name, const Histogram& hist,
+           const Span& parent) noexcept
+    : live_(parent.live_ && enabled()) {
+  if (!live_) return;
+  hist_ = &hist;
+  adopted_ = true;
+  name_ = name;
+  start_ = detail::now_ns();
+  depth_ = parent.depth_ + 1;
+  tid_ = parent.tid_;
+  detail::TracePosition& pos = detail::trace_position();
+  prev_depth_ = pos.depth;
+  prev_tid_ = pos.tid;
+  pos = {depth_ + 1, tid_};
+}
+
 void Span::open(const char* name) noexcept {
   name_ = name;
   start_ = detail::now_ns();
-  depth_ = detail::span_depth()++;
+  detail::TracePosition& pos = detail::trace_position();
+  depth_ = pos.depth++;
+  tid_ = pos.tid ? pos.tid : detail::my_shard().tid;
 }
 
 void Span::close() noexcept {
-  --detail::span_depth();
+  detail::TracePosition& pos = detail::trace_position();
+  if (adopted_)
+    pos = {prev_depth_, prev_tid_};
+  else
+    --pos.depth;
   detail::TraceEvent e;
   e.name = name_;
   e.ts_ns = start_;
   e.dur_ns = detail::now_ns() - start_;
-  e.tid = detail::my_shard().tid;
+  e.tid = tid_;
   e.depth = depth_;
   e.n_attrs = n_attrs_;
   for (int i = 0; i < n_attrs_; ++i) e.attrs[i] = attrs_[i];

@@ -8,7 +8,7 @@
 namespace qokit {
 
 QaoaObjective::QaoaObjective(const QaoaFastSimulatorBase& sim, int p)
-    : sim_(&sim), p_(p), init_(sim.start_state()) {
+    : sim_(&sim), p_(p) {
   if (p < 1) throw std::invalid_argument("QaoaObjective: p must be >= 1");
 }
 
@@ -25,11 +25,11 @@ double QaoaObjective::operator()(const std::vector<double>& x) const {
   ++evals_;
   const std::span<const double> gammas(x.data(), p_);
   const std::span<const double> betas(x.data() + p_, p_);
-  // Refill the scratch state from the cached template (a copy-assign that
-  // reuses its buffer) and evolve it in place: after the first call no
-  // statevector is allocated, where simulate_qaoa would allocate and fill
-  // a fresh initial state per evaluation.
-  scratch_ = init_;
+  // Write the start state into the scratch (reusing its buffer) and
+  // evolve it in place: after the first call no statevector is allocated,
+  // where simulate_qaoa would allocate a fresh initial state per
+  // evaluation.
+  sim_->start_state_into(scratch_);
   return sim_->simulate_qaoa_expectation(scratch_, gammas, betas);
 }
 

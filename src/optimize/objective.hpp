@@ -42,15 +42,15 @@ class QaoaObjective {
   const QaoaFastSimulatorBase* sim_;
   int p_;
   mutable int evals_ = 0;
-  StateVector init_;            ///< cached start_state() template
-  mutable StateVector scratch_; ///< reused across calls; refilled from init_
+  /// Reused across calls; the simulator's start_state_into refills it.
+  mutable StateVector scratch_;
 };
 
 /// Population objective for the batched optimizers: evaluates a set of
 /// packed points through one submission to a borrowed BatchEvaluator,
-/// sharing its precomputed diagonal, cached initial state, and per-thread
-/// scratch pool across the whole optimization run. Matches the
-/// BatchObjectiveFn shape of nelder_mead_batched / spsa_batched.
+/// sharing its precomputed diagonal and per-thread scratch pool across the
+/// whole optimization run. Matches the BatchObjectiveFn shape of
+/// nelder_mead_batched / spsa_batched.
 class QaoaBatchObjective {
  public:
   /// `evaluator` must outlive the objective (and, like any evaluator, is

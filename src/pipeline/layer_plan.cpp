@@ -115,6 +115,11 @@ LayerPlan LayerPlan::build(int num_qubits, MixerType mixer,
   return plan;
 }
 
+std::int64_t LayerPlan::tile_amps() const noexcept {
+  return active_ ? std::int64_t{1} << passes_.front().width_log2
+                 : kSimdBlock;
+}
+
 LayerPlan LayerPlan::build_half(int num_qubits, MixerType mixer,
                                MixerBackend backend,
                                const PipelineOptions& opts) {

@@ -27,6 +27,7 @@
 // PipelineMode::Off (see layer_exec.hpp for the determinism argument).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -136,6 +137,12 @@ class LayerPlan {
   /// Qubits of the array the plan runs over: n, or n - 1 for a half plan.
   int num_qubits() const noexcept { return n_; }
   const PipelineOptions& options() const noexcept { return opts_; }
+
+  /// Amplitudes per unit of the leading tile pass; kSimdBlock, the block
+  /// the unfused kernels thread over, for an inactive plan. A start-state
+  /// fill writes blocks of this size, so it opens a parallel region
+  /// exactly when the first sweep of the state does.
+  std::int64_t tile_amps() const noexcept;
 
   /// Full-array sweeps one layer performs — the pipeline's figure of
   /// merit. The unfused loop costs n + 1 (n + 2 counting the cost read;

@@ -45,12 +45,11 @@ std::uint64_t problem_key(const TermList& terms, const SimulatorSpec& spec) {
 std::uint64_t session_footprint_bytes(int num_qubits, std::size_t num_terms,
                                       Precision prec) {
   const std::uint64_t dim = std::uint64_t{1} << num_qubits;
-  // f64 diagonal + three statevectors (the cached initial state, the
-  // batch-pool slot every evaluate uses, and one more slot as an allowance
-  // for Outer-mode batches) at the session's actual amplitude width (16
-  // bytes f64, 8 bytes f32), plus the terms and a fixed allowance for the
-  // plan/object headers.
-  return dim * (8 + 3 * amplitude_bytes(prec)) + num_terms * sizeof(Term) +
+  // f64 diagonal + two statevectors (the batch-pool slot every evaluate
+  // uses, and one more slot as an allowance for Outer-mode batches) at the
+  // session's actual amplitude width (16 bytes f64, 8 bytes f32), plus the
+  // terms and a fixed allowance for the plan/object headers.
+  return dim * (8 + 2 * amplitude_bytes(prec)) + num_terms * sizeof(Term) +
          4096;
 }
 
@@ -60,11 +59,11 @@ std::uint64_t session_footprint_bytes(const api::ProblemSession& session) {
   std::uint64_t bytes =
       session_footprint_bytes(n, session.terms().size(), prec);
   if (session.simulator().half_space()) {
-    // Half storage: the three statevectors hold 2^(n-1) amplitudes each,
-    // plus the 2^n scratch a slot expands into for overlaps, samples and
-    // kept states.
+    // Half storage: the two slots hold 2^(n-1) amplitudes each, plus the
+    // 2^n scratch a slot expands into for overlaps, samples and kept
+    // states.
     const std::uint64_t amps = std::uint64_t{1} << n;
-    bytes -= 3 * (amps / 2) * amplitude_bytes(prec);
+    bytes -= 2 * (amps / 2) * amplitude_bytes(prec);
     bytes += amps * amplitude_bytes(prec);
   }
   if (const auto* fur =

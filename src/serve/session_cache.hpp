@@ -46,12 +46,12 @@ namespace qokit::serve {
 std::uint64_t problem_key(const TermList& terms, const SimulatorSpec& spec);
 
 /// Footprint estimate used against the byte budget: the 2^n-sized buffers
-/// a session owns (f64 diagonal, cached initial state, and two batch-pool
-/// statevector slots) plus its terms. An estimate, not an
-/// accounting -- it only needs to be monotone in n for LRU pressure to
-/// behave. The statevector buffers are charged at `prec`'s actual
-/// amplitude width, so an f32 session costs roughly half an f64 one and
-/// the LRU budget admits correspondingly more of them.
+/// a session owns (f64 diagonal and two batch-pool statevector slots; the
+/// start state is written into a slot, never cached) plus its terms. An
+/// estimate, not an accounting -- it only needs to be monotone in n for
+/// LRU pressure to behave. The statevector buffers are charged at
+/// `prec`'s actual amplitude width, so an f32 session costs roughly half
+/// an f64 one and the LRU budget admits correspondingly more of them.
 std::uint64_t session_footprint_bytes(int num_qubits, std::size_t num_terms,
                                       Precision prec = Precision::F64);
 

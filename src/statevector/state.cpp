@@ -37,47 +37,112 @@ StateVector::StateVector(int num_qubits, Precision prec)
 
 StateVector StateVector::basis_state(int num_qubits, std::uint64_t x,
                                      Precision prec) {
-  StateVector sv(num_qubits, prec);
-  if (x >= sv.size()) throw std::out_of_range("basis_state: index too large");
-  if (prec == Precision::F32)
-    sv.amp32_[x] = cfloat(1.0f, 0.0f);
-  else
-    sv.amp64_[x] = cdouble(1.0, 0.0);
+  StateVector sv;
+  sv.assign_basis(num_qubits, x, prec);
   return sv;
 }
 
 StateVector StateVector::plus_state(int num_qubits, Precision prec) {
-  StateVector sv(num_qubits, prec);
-  sv.fill_real(1.0 / std::sqrt(static_cast<double>(sv.size())));
+  StateVector sv;
+  sv.assign_plus(num_qubits, prec);
   return sv;
 }
 
 StateVector StateVector::plus_state_half(int num_qubits, Precision prec) {
-  if (num_qubits < 1 || num_qubits > kMaxQubits)
-    throw std::invalid_argument("plus_state_half: unsupported qubit count");
-  StateVector sv(num_qubits - 1, prec);
-  sv.fill_real(1.0 / std::sqrt(static_cast<double>(dim_of(num_qubits))));
-  sv.n_ = num_qubits;
-  sv.half_ = true;
+  StateVector sv;
+  sv.assign_plus(num_qubits, prec, /*half=*/true);
   return sv;
 }
 
-void StateVector::fill_real(double a) {
-  if (prec_ == Precision::F32) {
-    const cfloat v(static_cast<float>(a), 0.0f);
-    for (auto& amp : amp32_) amp = v;
+StateVector StateVector::dicke_state(int num_qubits, int weight,
+                                     Precision prec) {
+  StateVector sv;
+  sv.assign_dicke(num_qubits, weight, prec);
+  return sv;
+}
+
+void StateVector::reshape(int num_qubits, Precision prec, bool half) {
+  if (num_qubits < (half ? 1 : 0) || num_qubits > kMaxQubits)
+    throw std::invalid_argument("StateVector: unsupported qubit count");
+  const std::uint64_t amps = dim_of(half ? num_qubits - 1 : num_qubits);
+  n_ = num_qubits;
+  prec_ = prec;
+  half_ = half;
+  // clear() first: a growing resize() would otherwise copy the old
+  // amplitudes into the new buffer only for the caller to overwrite them.
+  if (prec == Precision::F32) {
+    aligned_vector<cdouble>().swap(amp64_);
+    amp32_.clear();
+    amp32_.resize(amps);
   } else {
-    for (auto& amp : amp64_) amp = cdouble(a, 0.0);
+    aligned_vector<cfloat>().swap(amp32_);
+    amp64_.clear();
+    amp64_.resize(amps);
+  }
+}
+
+namespace {
+
+template <class C>
+void fill_blocks(C* amp, std::uint64_t count, C v, Exec exec,
+                 std::int64_t block) {
+  parallel_for_blocks(exec, static_cast<std::int64_t>(count), block,
+                      [=](std::int64_t lo, std::int64_t hi) {
+                        std::fill(amp + lo, amp + hi, v);
+                      });
+}
+
+}  // namespace
+
+void StateVector::assign_basis(int num_qubits, std::uint64_t x,
+                               Precision prec) {
+  if (num_qubits >= 0 && num_qubits <= kMaxQubits && x >= dim_of(num_qubits))
+    throw std::out_of_range("basis_state: index too large");
+  reshape(num_qubits, prec, false);
+  if (prec == Precision::F32) {
+    std::fill(amp32_.begin(), amp32_.end(), cfloat(0.0f, 0.0f));
+    amp32_[x] = cfloat(1.0f, 0.0f);
+  } else {
+    std::fill(amp64_.begin(), amp64_.end(), cdouble(0.0, 0.0));
+    amp64_[x] = cdouble(1.0, 0.0);
+  }
+}
+
+void StateVector::assign_plus(int num_qubits, Precision prec, bool half,
+                              Exec exec, std::int64_t block) {
+  reshape(num_qubits, prec, half);
+  // 2^(-n/2) for every amplitude, also the 2^(n-1) held by half storage.
+  const double a = 1.0 / std::sqrt(static_cast<double>(dim_of(num_qubits)));
+  if (prec == Precision::F32)
+    fill_blocks(amp32_.data(), size(), cfloat(static_cast<float>(a), 0.0f),
+                exec, block);
+  else
+    fill_blocks(amp64_.data(), size(), cdouble(a, 0.0), exec, block);
+}
+
+void StateVector::assign_dicke(int num_qubits, int weight, Precision prec) {
+  if (weight < 0 || weight > num_qubits)
+    throw std::invalid_argument("dicke_state: weight out of range");
+  reshape(num_qubits, prec, false);
+  std::uint64_t count = 0;
+  for (std::uint64_t x = 0; x < size(); ++x)
+    if (popcount(x) == weight) ++count;
+  const double a = 1.0 / std::sqrt(static_cast<double>(count));
+  for (std::uint64_t x = 0; x < size(); ++x) {
+    const double v = popcount(x) == weight ? a : 0.0;
+    if (prec == Precision::F32)
+      amp32_[x] = cfloat(static_cast<float>(v), 0.0f);
+    else
+      amp64_[x] = cdouble(v, 0.0);
   }
 }
 
 namespace {
 
 /// full = [half, half reversed]: a(x) for the lower indices, a(~x) =
-/// a(2h - 1 - x) for the upper ones. resize() keeps a sized buffer.
+/// a(2h - 1 - x) for the upper ones. `full` is already sized 2h.
 template <class C>
 void expand_amps(const aligned_vector<C>& half, aligned_vector<C>& full) {
-  full.resize(2 * half.size());
   std::copy(half.begin(), half.end(), full.begin());
   std::reverse_copy(half.begin(), half.end(),
                     full.begin() + static_cast<std::ptrdiff_t>(half.size()));
@@ -87,42 +152,17 @@ void expand_amps(const aligned_vector<C>& half, aligned_vector<C>& full) {
 
 void StateVector::expand_into(StateVector& full) const {
   if (!half_) throw std::logic_error("expand_into: not a half state");
-  full.n_ = n_;
-  full.prec_ = prec_;
-  full.half_ = false;
-  if (prec_ == Precision::F32) {
-    full.amp64_.clear();
+  full.reshape(n_, prec_, false);
+  if (prec_ == Precision::F32)
     expand_amps(amp32_, full.amp32_);
-  } else {
-    full.amp32_.clear();
+  else
     expand_amps(amp64_, full.amp64_);
-  }
-}
-
-StateVector StateVector::dicke_state(int num_qubits, int weight,
-                                     Precision prec) {
-  if (weight < 0 || weight > num_qubits)
-    throw std::invalid_argument("dicke_state: weight out of range");
-  StateVector sv(num_qubits, prec);
-  std::uint64_t count = 0;
-  for (std::uint64_t x = 0; x < sv.size(); ++x)
-    if (popcount(x) == weight) ++count;
-  const double a = 1.0 / std::sqrt(static_cast<double>(count));
-  for (std::uint64_t x = 0; x < sv.size(); ++x)
-    if (popcount(x) == weight) {
-      if (prec == Precision::F32)
-        sv.amp32_[x] = cfloat(static_cast<float>(a), 0.0f);
-      else
-        sv.amp64_[x] = cdouble(a, 0.0);
-    }
-  return sv;
 }
 
 StateVector StateVector::to_precision(Precision prec) const {
   if (prec == prec_) return *this;
-  StateVector out(half_ ? n_ - 1 : n_, prec);
-  out.n_ = n_;
-  out.half_ = half_;
+  StateVector out;
+  out.reshape(n_, prec, half_);
   if (prec == Precision::F32) {
     for (std::uint64_t i = 0; i < size(); ++i)
       out.amp32_[i] = cfloat(static_cast<float>(amp64_[i].real()),

@@ -79,6 +79,20 @@ class StateVector {
   static StateVector dicke_state(int num_qubits, int weight,
                                  Precision prec = Precision::F64);
 
+  /// In-place forms of the four factories above: overwrite this state,
+  /// whatever its shape, precision or contents, reusing its buffer when
+  /// the capacity suffices (so a sized scratch slot refills without an
+  /// allocation or a copy). Every stored amplitude is written. The |+>
+  /// fill writes `block`-amplitude blocks through parallel_for_blocks:
+  /// under Exec::Parallel a state of two or more blocks fills in one
+  /// static parallel loop, so its pages are first touched by the threads
+  /// whose static schedule sweeps them, and a one-block state fills on the
+  /// calling thread.
+  void assign_basis(int num_qubits, std::uint64_t x, Precision prec);
+  void assign_plus(int num_qubits, Precision prec, bool half = false,
+                   Exec exec = Exec::Serial, std::int64_t block = kSimdBlock);
+  void assign_dicke(int num_qubits, int weight, Precision prec);
+
   int num_qubits() const noexcept { return n_; }
   Precision precision() const noexcept { return prec_; }
   /// Half storage of a flip-symmetric n-qubit state, a(x) == a(~x): only
@@ -155,7 +169,10 @@ class StateVector {
   double max_abs_diff(const StateVector& other) const;
 
  private:
-  void fill_real(double a);  ///< every stored amplitude = a + 0i
+  /// Take the shape (n, precision, half storage) with every stored
+  /// amplitude unwritten: the buffer of the other precision is released
+  /// and this one resized without copying its old contents.
+  void reshape(int num_qubits, Precision prec, bool half);
 
   int n_ = 0;
   Precision prec_ = Precision::F64;

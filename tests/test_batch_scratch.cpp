@@ -1,10 +1,16 @@
 // Scratch-pool and consume-in-place regression tests: the batch engine
 // and the objective functor reuse statevector buffers across evaluations;
 // these tests pin that (a) reuse never aliases results across schedules,
-// (b) repeated batches are bitwise deterministic, and (c) the steady-state
+// (b) repeated batches are bitwise deterministic, (c) the steady-state
 // evaluation loops perform zero statevector allocations (via the
-// instrumented AlignedAllocator counter).
+// instrumented AlignedAllocator counter), and (d) a fresh session
+// allocates each buffer once: the diagonal at build, one slot at the first
+// evaluate, and no cached start state, while start_state_into writes the
+// same bits as start_state() into a slot of any previous shape.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
 
 #include "api/qokit.hpp"
 
@@ -187,6 +193,112 @@ TEST(BatchScratch, U16PhaseTableIsReusedAcrossEvaluations) {
     EXPECT_EQ(session.expectations(batch), first);
   (void)session.evaluate(batch.front());
   EXPECT_EQ(aligned_allocation_count(), baseline);
+}
+
+/// Same shape, precision, storage and amplitude bytes.
+bool same_bits(const StateVector& a, const StateVector& b) {
+  if (a.num_qubits() != b.num_qubits() || a.precision() != b.precision() ||
+      a.is_half() != b.is_half() || a.size() != b.size())
+    return false;
+  const void* pa = a.precision() == Precision::F32
+                       ? static_cast<const void*>(a.data_f32())
+                       : static_cast<const void*>(a.data());
+  const void* pb = b.precision() == Precision::F32
+                       ? static_cast<const void*>(b.data_f32())
+                       : static_cast<const void*>(b.data());
+  return std::memcmp(pa, pb, a.bytes()) == 0;
+}
+
+/// A slot holding junk: n qubits at `prec`, full or half storage, every
+/// amplitude set to a value no start state holds.
+StateVector dirty_slot(int n, Precision prec, bool half) {
+  StateVector slot = half ? StateVector::plus_state_half(n, prec)
+                          : StateVector::plus_state(n, prec);
+  for (std::uint64_t i = 0; i < slot.size(); ++i) {
+    if (prec == Precision::F32)
+      slot.data_f32()[i] = cfloat(0.37f, -1.5f);
+    else
+      slot.data()[i] = cdouble(0.37, -1.5);
+  }
+  return slot;
+}
+
+const char* const kStartSpellings[] = {
+    "auto",     "auto:prec=f32", "u16",          "auto:pipeline=off",
+    "dist:2",   "gatesim",       "auto:mixer=xyring"};
+
+TEST(BatchScratch, StartStateIntoOverwritesSlotsOfEveryShape) {
+  const int n = 13;  // >= LayerPlan::kMinHalfQubits: auto runs half
+  const TermList terms = labs_terms(n);
+  for (const char* spelling : kStartSpellings) {
+    SCOPED_TRACE(spelling);
+    const auto sim = make_simulator(terms, SimulatorSpec::parse(spelling));
+    const StateVector ref = sim->start_state();
+    ASSERT_EQ(ref.num_qubits(), n);
+    ASSERT_EQ(ref.precision(), sim->precision());
+    ASSERT_EQ(ref.is_half(), sim->half_space());
+    const Precision other = sim->precision() == Precision::F32
+                                ? Precision::F64
+                                : Precision::F32;
+    std::vector<StateVector> slots;
+    slots.emplace_back();                                   // empty
+    slots.push_back(dirty_slot(n, other, ref.is_half()));   // precision
+    slots.push_back(dirty_slot(n, sim->precision(), !ref.is_half()));
+    slots.push_back(dirty_slot(n + 2, sim->precision(), false));  // larger
+    slots.push_back(dirty_slot(n - 3, sim->precision(), false));  // smaller
+    slots.push_back(dirty_slot(n, sim->precision(), ref.is_half()));
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      sim->start_state_into(slots[k]);
+      EXPECT_TRUE(same_bits(slots[k], ref)) << "slot " << k;
+    }
+    // A slot of the right shape is refilled in place: same buffer.
+    StateVector& same = slots.back();
+    const void* buffer = same.precision() == Precision::F32
+                             ? static_cast<const void*>(same.data_f32())
+                             : static_cast<const void*>(same.data());
+    const std::uint64_t before = aligned_allocation_count();
+    sim->start_state_into(same);
+    EXPECT_EQ(aligned_allocation_count(), before);
+    EXPECT_EQ(same.precision() == Precision::F32
+                  ? static_cast<const void*>(same.data_f32())
+                  : static_cast<const void*>(same.data()),
+              buffer);
+    // initial_state() is the 2^n form of the same state.
+    StateVector full;
+    if (ref.is_half())
+      ref.expand_into(full);
+    else
+      full = ref;
+    EXPECT_TRUE(same_bits(sim->initial_state(), full));
+  }
+}
+
+TEST(BatchScratch, FreshSessionAllocatesEachBufferOnce) {
+  const int n = 14;
+  const QaoaParams q = two_distinct_schedules().front();
+  for (const char* spelling : kStartSpellings) {
+    SCOPED_TRACE(spelling);
+    const SimulatorSpec spec = SimulatorSpec::parse(spelling);
+    {
+      // Warm this thread's reusable kernel scratch (the fused-reduction
+      // partials, the u16 phase table) so the counts below see only the
+      // session's own buffers.
+      const api::ProblemSession warm = api::ProblemSession::labs(n, spec);
+      (void)warm.evaluate(q);
+    }
+    std::uint64_t mark = aligned_allocation_count();
+    const api::ProblemSession session = api::ProblemSession::labs(n, spec);
+    // The diagonal, plus the uint16 codes on a u16 session; no
+    // start-state buffer.
+    EXPECT_EQ(aligned_allocation_count() - mark, spec.backend == Backend::U16 ? 2u : 1u);
+    mark = aligned_allocation_count();
+    const double first = *session.evaluate(q).expectation;
+    EXPECT_EQ(aligned_allocation_count() - mark, 1u);  // one batch slot
+    mark = aligned_allocation_count();
+    for (int repeat = 0; repeat < 3; ++repeat)
+      EXPECT_EQ(*session.evaluate(q).expectation, first);
+    EXPECT_EQ(aligned_allocation_count(), mark);
+  }
 }
 
 TEST(BatchScratch, HeuristicRespectsThreadCountAndSimulatorPreference) {

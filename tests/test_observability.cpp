@@ -188,6 +188,28 @@ std::string event_line(const std::string& trace, const std::string& name) {
   return trace.substr(start, end - start);
 }
 
+/// Every trace line of the events named `name`.
+std::vector<std::string> event_lines(const std::string& trace,
+                                     const std::string& name) {
+  std::vector<std::string> lines;
+  const std::string needle = "\"name\":\"" + name + "\"";
+  for (std::size_t at = trace.find(needle); at != std::string::npos;
+       at = trace.find(needle, at + 1)) {
+    const std::size_t start = trace.rfind('\n', at) + 1;
+    lines.push_back(trace.substr(start, trace.find('\n', at) - start));
+  }
+  return lines;
+}
+
+/// The number after `"key":` in one trace line.
+double event_field(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  return at == std::string::npos
+             ? -1.0
+             : std::stod(line.substr(at + needle.size()));
+}
+
 api::ProblemSession labs_session(const char* spec) {
   return api::ProblemSession::labs(10, SimulatorSpec::parse(spec));
 }
@@ -300,6 +322,42 @@ TEST_F(ObsTest, SpanNestingAndAttributes) {
   ASSERT_FALSE(precompute.empty());
   EXPECT_NE(precompute.find("\"depth\":0"), std::string::npos)
       << precompute;
+}
+
+TEST_F(ObsTest, DistLayerSpansNestUnderSimulate) {
+  // dist opens its `layer` spans on rank 0's thread; they must still be
+  // children of the caller's `simulate` span: same thread id, one level
+  // deeper, inside its time range.
+  obs::set_enabled(true);
+  const api::ProblemSession s = labs_session("dist:2");
+  obs::reset();
+  s.evaluate(linear_ramp(3));
+  const std::string trace = obs::trace_json();
+  EXPECT_TRUE(JsonValidator(trace).valid());
+  const std::vector<std::string> sims = event_lines(trace, "simulate");
+  ASSERT_EQ(sims.size(), 1u) << trace.substr(0, 400);
+  const std::string& sim = sims.front();
+  const double tid = event_field(sim, "tid");
+  const double depth = event_field(sim, "depth");
+  const double ts = event_field(sim, "ts");
+  const double end = ts + event_field(sim, "dur");
+  EXPECT_EQ(depth, 2.0) << sim;  // evaluate > evaluate_batch > simulate
+  const std::vector<std::string> layers = event_lines(trace, "layer");
+  ASSERT_EQ(layers.size(), 3u);
+  for (const std::string& layer : layers) {
+    EXPECT_EQ(event_field(layer, "tid"), tid) << layer;
+    EXPECT_EQ(event_field(layer, "depth"), depth + 1) << layer;
+    EXPECT_GE(event_field(layer, "ts"), ts) << layer;
+    EXPECT_LE(event_field(layer, "ts") + event_field(layer, "dur"),
+              end + 0.002)
+        << layer;
+  }
+  // Rank 0's spans inside a layer follow it under the caller's thread.
+  for (const std::string& pass : event_lines(trace, "pipeline_layer")) {
+    if (event_field(pass, "tid") == tid) {
+      EXPECT_EQ(event_field(pass, "depth"), depth + 2) << pass;
+    }
+  }
 }
 
 TEST_F(ObsTest, HistogramBucketMath) {

@@ -293,10 +293,10 @@ TEST(PrecisionFootprint, F32SessionsChargeHalfTheAmplitudeBytes) {
       serve::session_footprint_bytes(n, 20, Precision::F64);
   const std::uint64_t f32 =
       serve::session_footprint_bytes(n, 20, Precision::F32);
-  // Floors: f64 diagonal (8 B/amp) + three statevectors at the actual
-  // amplitude width (48 B/amp f64, 24 B/amp f32).
-  EXPECT_GE(f64, dim * 56);
-  EXPECT_GE(f32, dim * 32);
+  // Floors: f64 diagonal (8 B/amp) + two statevector slots at the actual
+  // amplitude width (32 B/amp f64, 16 B/amp f32).
+  EXPECT_GE(f64, dim * 40);
+  EXPECT_GE(f32, dim * 24);
   EXPECT_LT(f32, f64);
   // The default-precision overload is the f64 one (legacy callers).
   EXPECT_EQ(serve::session_footprint_bytes(n, 20), f64);

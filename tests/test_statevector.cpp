@@ -145,5 +145,40 @@ TEST(StateVector, RejectsNegativeQubitCount) {
   EXPECT_THROW(StateVector(-1), std::invalid_argument);
 }
 
+TEST(StateVector, ConstructorStillZeroFills) {
+  // aligned_vector(n) no longer zero-fills; StateVector(int) asks for
+  // zeros explicitly, as documented.
+  for (const Precision prec : {Precision::F64, Precision::F32}) {
+    const StateVector sv(6, prec);
+    for (std::uint64_t x = 0; x < sv.size(); ++x)
+      EXPECT_EQ(sv.at(x), cdouble(0.0, 0.0));
+  }
+}
+
+TEST(AlignedAllocator, DebugBuildsPoisonDefaultInitializedElements) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "release build: default-initialized elements are left "
+                  "unwritten, there is no poison to observe";
+#else
+  // A read before the first write must surface as NaN, so the Debug and
+  // sanitizer test runs catch it in any result it reaches.
+  aligned_vector<double> d(64);
+  for (const double v : d) EXPECT_TRUE(std::isnan(v));
+  aligned_vector<cdouble> c;
+  c.resize(32);
+  for (const cdouble& v : c)
+    EXPECT_TRUE(std::isnan(v.real()) && std::isnan(v.imag()));
+  aligned_vector<cfloat> f(16);
+  for (const cfloat& v : f)
+    EXPECT_TRUE(std::isnan(v.real()) && std::isnan(v.imag()));
+  // Explicit values are written as given.
+  d.assign(64, 0.0);
+  for (const double v : d) EXPECT_EQ(v, 0.0);
+  c.resize(40, cdouble(1.0, 2.0));
+  EXPECT_TRUE(std::isnan(c[0].real()));
+  EXPECT_EQ(c[39], cdouble(1.0, 2.0));
+#endif
+}
+
 }  // namespace
 }  // namespace qokit

@@ -396,12 +396,12 @@ TEST(HalfSpace, SessionFootprintChargesHalfSizeSlots) {
     const ProblemSession full(terms, oracle_spec(spelling));
     ASSERT_TRUE(half.simulator().half_space()) << spelling;
     const std::uint64_t amp = amplitude_bytes(half.simulator().precision());
-    // Three slots at 2^(n-1) amplitudes plus one 2^n expansion scratch,
-    // against three 2^n slots; the plans differ by their pass records.
-    EXPECT_EQ(serve::session_footprint_bytes(full) -
-                  serve::session_footprint_bytes(half) + plan_bytes(half) -
-                  plan_bytes(full),
-              dim_of(n - 1) * amp)
+    // Two slots at 2^(n-1) amplitudes plus one 2^n expansion scratch,
+    // against two 2^n slots; the plans differ by their pass records.
+    EXPECT_EQ(serve::session_footprint_bytes(half) - plan_bytes(half),
+              serve::session_footprint_bytes(full) - plan_bytes(full) -
+                  2 * dim_of(n) * amp + 2 * dim_of(n - 1) * amp +
+                  dim_of(n) * amp)
         << spelling;
   }
 }
